@@ -10,8 +10,8 @@
 use cmpsim::snapshot::snapshot_key;
 use cmpsim::{
     chaos_sweep_with_options, run_benchmark, run_benchmark_with_store, run_matrix_with_options,
-    Benchmark, CmpSimulator, FaultPlan, ProtocolKind, RunResult, SimError, SnapshotStore,
-    SystemConfig,
+    Benchmark, CmpSimulator, FaultPlan, Placement, ProtocolKind, RunResult, SimError,
+    SnapshotStore, SystemConfig,
 };
 use proptest::prelude::*;
 
@@ -241,6 +241,47 @@ fn malformed_images_are_typed_errors_never_panics() {
 
     // The pristine image still restores (the mutations above cloned).
     CmpSimulator::restore_snapshot(kind, b, &cfg, &image).expect("pristine image restores");
+}
+
+/// FNV-1a over the image bytes: a stable, dependency-free digest.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// The serialized image itself is pinned, not just its round trip: a
+/// reordered or re-encoded field in any protocol's `save_state` changes
+/// these digests even when decode(encode(x)) stays a fixed point. Two
+/// fixed runs per protocol on the 16-tile chip: matched apache, and
+/// mixed-com under the alternative placement (remote-area sharing, so
+/// providers, ProPos and DiCo-Arin's SBA entries are live at the
+/// warm-up boundary). A change here needs a snapshot format version
+/// bump and a stated reason.
+#[test]
+fn snapshot_images_are_pinned_byte_for_byte() {
+    let cases = [
+        (Benchmark::Apache, SystemConfig::small()),
+        (Benchmark::MixedCom, SystemConfig::small().with_placement(Placement::Alternative)),
+    ];
+    let mut got = Vec::new();
+    for (b, cfg) in &cases {
+        for kind in ProtocolKind::all() {
+            let mut sim = CmpSimulator::new(kind, *b, cfg);
+            assert!(sim.warm_up().expect("warm-up"), "{kind:?}/{b:?} must reach the boundary");
+            let image = sim.save_snapshot(snapshot_key(kind, *b, cfg));
+            got.push(format!("{}/{} {} {:016x}", kind.name(), b.name(), image.len(), fnv1a(&image)));
+        }
+    }
+    let want = [
+        "Directory/apache4x16p 34540 38bf34b78728a321",
+        "DiCo/apache4x16p 36806 36df6d5b3787001f",
+        "DiCo-Providers/apache4x16p 40304 4564f5016fb3a002",
+        "DiCo-Arin/apache4x16p 37761 7d90dca9853f18f4",
+        "Directory/mixed-com 39862 5ece7db038a933b7",
+        "DiCo/mixed-com 41854 81c2c4ee8153c54f",
+        "DiCo-Providers/mixed-com 45829 db69337a69342dac",
+        "DiCo-Arin/mixed-com 42900 ad38a5f60c3162ba",
+    ];
+    assert_eq!(got, want, "snapshot image bytes changed");
 }
 
 proptest! {
