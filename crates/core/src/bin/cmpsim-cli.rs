@@ -93,9 +93,11 @@
 //! fault-free golden twin, and exits nonzero on any divergence, panic,
 //! or typed error lacking a replay artifact.
 //!
-//! Protocols: directory | dico | providers | arin.
-//! Benchmarks: apache | jbb | radix | lu | volrend | tomcatv |
-//! mixed-com | mixed-sci.
+//! Protocols: directory (dir) | dico | dico-providers (providers) |
+//! dico-arin (arin). Benchmarks: apache | jbb | radix | lu | volrend |
+//! tomcatv | mixed-com | mixed-sci, or their report names
+//! (apache4x16p, ...). Names are accepted in any case; `list` prints
+//! them.
 //!
 //! A failing `run`/`matrix` writes a JSON replay artifact (path printed
 //! with the error); `replay` re-runs it deterministically and reports
@@ -118,30 +120,6 @@ use cmpsim::{
 };
 use cmpsim_power::{leakage_per_tile, overhead_percent};
 use std::path::Path;
-
-fn parse_protocol(s: &str) -> Option<ProtocolKind> {
-    match s.to_ascii_lowercase().as_str() {
-        "directory" | "dir" => Some(ProtocolKind::Directory),
-        "dico" => Some(ProtocolKind::DiCo),
-        "providers" | "dico-providers" => Some(ProtocolKind::DiCoProviders),
-        "arin" | "dico-arin" => Some(ProtocolKind::DiCoArin),
-        _ => None,
-    }
-}
-
-fn parse_benchmark(s: &str) -> Option<Benchmark> {
-    match s.to_ascii_lowercase().as_str() {
-        "apache" => Some(Benchmark::Apache),
-        "jbb" => Some(Benchmark::Jbb),
-        "radix" => Some(Benchmark::Radix),
-        "lu" => Some(Benchmark::Lu),
-        "volrend" => Some(Benchmark::Volrend),
-        "tomcatv" => Some(Benchmark::Tomcatv),
-        "mixed-com" => Some(Benchmark::MixedCom),
-        "mixed-sci" => Some(Benchmark::MixedSci),
-        _ => None,
-    }
-}
 
 struct Options {
     protocol: ProtocolKind,
@@ -224,12 +202,11 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         match a.as_str() {
             "--protocol" | "-p" => {
                 let v = it.next().ok_or("--protocol needs a value")?;
-                o.protocol = parse_protocol(v).ok_or_else(|| format!("unknown protocol {v}"))?;
+                o.protocol = v.parse()?;
             }
             "--benchmark" | "-b" => {
                 let v = it.next().ok_or("--benchmark needs a value")?;
-                o.benchmark =
-                    parse_benchmark(v).ok_or_else(|| format!("unknown benchmark {v}"))?;
+                o.benchmark = v.parse()?;
             }
             "--refs" | "-n" => {
                 let v = it.next().ok_or("--refs needs a value")?;
@@ -950,14 +927,11 @@ fn cmd_chaos(args: &[String]) {
             "--alt" => alt = true,
             "--protocol" | "-p" => {
                 let v = it.next().unwrap_or_else(|| bad("--protocol needs a value".into()));
-                protocol =
-                    Some(parse_protocol(v).unwrap_or_else(|| bad(format!("unknown protocol {v}"))));
+                protocol = Some(v.parse().unwrap_or_else(|e| bad(e)));
             }
             "--benchmark" | "-b" => {
                 let v = it.next().unwrap_or_else(|| bad("--benchmark needs a value".into()));
-                benchmark = Some(
-                    parse_benchmark(v).unwrap_or_else(|| bad(format!("unknown benchmark {v}"))),
-                );
+                benchmark = Some(v.parse().unwrap_or_else(|e| bad(e)));
             }
             "--progress-out" => {
                 let v = it.next().unwrap_or_else(|| bad("--progress-out needs a file path".into()));
@@ -1141,17 +1115,13 @@ fn cmd_sweep(args: &[String]) {
             "--protocol" | "-p" => {
                 let v = it.next().unwrap_or_else(|| bad("--protocol needs a value".into()));
                 for s in v.split(',') {
-                    protocols.push(
-                        parse_protocol(s).unwrap_or_else(|| bad(format!("unknown protocol {s}"))),
-                    );
+                    protocols.push(s.parse().unwrap_or_else(|e| bad(e)));
                 }
             }
             "--benchmark" | "-b" => {
                 let v = it.next().unwrap_or_else(|| bad("--benchmark needs a value".into()));
                 for s in v.split(',') {
-                    benchmarks.push(
-                        parse_benchmark(s).unwrap_or_else(|| bad(format!("unknown benchmark {s}"))),
-                    );
+                    benchmarks.push(s.parse().unwrap_or_else(|e| bad(e)));
                 }
             }
             "--seeds" => {
@@ -1280,8 +1250,19 @@ fn cmd_sweep(args: &[String]) {
 }
 
 fn cmd_list() {
-    println!("protocols:  directory | dico | providers | arin");
-    println!("benchmarks: apache | jbb | radix | lu | volrend | tomcatv | mixed-com | mixed-sci");
+    let protocols: Vec<String> = ProtocolKind::all()
+        .iter()
+        .map(|k| [k.name()].iter().chain(k.aliases()).copied().collect::<Vec<_>>().join(" / "))
+        .collect();
+    let benchmarks: Vec<String> = Benchmark::all()
+        .iter()
+        .map(|b| match b.alias() {
+            a if a == b.name() => a.to_string(),
+            a => format!("{a} / {}", b.name()),
+        })
+        .collect();
+    println!("protocols:  {}  (any case)", protocols.join(" | "));
+    println!("benchmarks: {}  (any case)", benchmarks.join(" | "));
     println!("fault modes: recoverable[@SEED] | chaos[@SEED]  (--faults / CMPSIM_FAULTS)");
 }
 

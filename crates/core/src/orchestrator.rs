@@ -656,11 +656,11 @@ pub fn parse_journal(text: &str) -> Result<JournalState, String> {
     };
     let protocols = str_list("protocols")?
         .iter()
-        .map(|n| protocol_from_name(n))
+        .map(|n| n.parse::<ProtocolKind>().map_err(|e| format!("{e} in journal")))
         .collect::<Result<Vec<_>, _>>()?;
     let benchmarks = str_list("benchmarks")?
         .iter()
-        .map(|n| benchmark_from_name(n))
+        .map(|n| n.parse::<Benchmark>().map_err(|e| format!("{e} in journal")))
         .collect::<Result<Vec<_>, _>>()?;
     let seeds = match start.field("seeds")? {
         Value::Arr(items) => items.iter().map(|v| v.as_u64()).collect::<Result<Vec<_>, _>>()?,
@@ -759,20 +759,6 @@ pub fn parse_journal(text: &str) -> Result<JournalState, String> {
         }
     }
     Ok(JournalState { spec, options, cell_count, terminal })
-}
-
-fn protocol_from_name(name: &str) -> Result<ProtocolKind, String> {
-    ProtocolKind::all()
-        .into_iter()
-        .find(|p| p.name() == name)
-        .ok_or_else(|| format!("unknown protocol {name:?} in journal"))
-}
-
-fn benchmark_from_name(name: &str) -> Result<Benchmark, String> {
-    Benchmark::all()
-        .into_iter()
-        .find(|b| b.name() == name)
-        .ok_or_else(|| format!("unknown benchmark {name:?} in journal"))
 }
 
 /// The worker-pool execution core shared by fresh runs and resumes.

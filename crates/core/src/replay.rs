@@ -140,28 +140,14 @@ impl ReplayArtifact {
         }
         Ok(Self {
             schema,
-            protocol: protocol_from_name(v.field("protocol")?.as_str()?)?,
-            benchmark: benchmark_from_name(v.field("benchmark")?.as_str()?)?,
+            protocol: v.field("protocol")?.as_str()?.parse()?,
+            benchmark: v.field("benchmark")?.as_str()?.parse()?,
             error_kind: v.field("error")?.as_str()?.to_string(),
             failing_cycle: v.field("failing_cycle")?.as_u64()?,
             events: v.field("events")?.as_u64()?,
             config: config_from_json(v.field("config")?)?,
         })
     }
-}
-
-fn protocol_from_name(name: &str) -> Result<ProtocolKind, String> {
-    ProtocolKind::all()
-        .into_iter()
-        .find(|k| k.name().eq_ignore_ascii_case(name))
-        .ok_or_else(|| format!("unknown protocol {name:?}"))
-}
-
-fn benchmark_from_name(name: &str) -> Result<Benchmark, String> {
-    Benchmark::all()
-        .into_iter()
-        .find(|b| b.name().eq_ignore_ascii_case(name))
-        .ok_or_else(|| format!("unknown benchmark {name:?}"))
 }
 
 fn geometry_to_json(g: &Geometry) -> Value {

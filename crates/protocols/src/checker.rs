@@ -23,7 +23,7 @@
 //! keeps a bounded history of recent events so a violation report can
 //! show what led up to it.
 
-use crate::common::{Block, Msg, MsgKind, Tile, MAX_CHASE_HOPS};
+use crate::common::{Block, Msg, MsgKind, SharerSet, Tile, MAX_CHASE_HOPS};
 use cmpsim_engine::Cycle;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -83,7 +83,7 @@ pub struct ChipSnapshot {
     /// it *believes* exist. Every real copy must be covered (stale bits
     /// are fine — silent evictions over-approximate). Blocks tracked by
     /// broadcast (DiCo-Arin's shared-between-areas state) are absent.
-    pub recorded: BTreeMap<Block, u64>,
+    pub recorded: BTreeMap<Block, SharerSet>,
 }
 
 impl ChipSnapshot {
@@ -166,7 +166,7 @@ pub fn check(snap: &ChipSnapshot) -> Result<(), Vec<String>> {
         //    the block is tracked precisely).
         if let Some(&bits) = snap.recorded.get(&block) {
             for (t, _) in &copies {
-                if bits & (1u64 << *t) == 0 {
+                if !bits.contains(*t) {
                     errors.push(format!(
                         "block {block:#x}: tile {t} holds an untracked copy (recorded {bits:#x})"
                     ));
@@ -453,11 +453,11 @@ mod tests {
         );
         s.l1[1].insert(9, CopyView { state: CopyState::Shared, version: 0 });
         // The protocol only recorded tile 0.
-        s.recorded.insert(9, 0b01);
+        s.recorded.insert(9, SharerSet::from_bits(0b01));
         let errs = check(&s).unwrap_err();
         assert!(errs.iter().any(|e| e.contains("untracked copy")));
         // Covering both passes (extra stale bits are fine).
-        s.recorded.insert(9, 0b1111);
+        s.recorded.insert(9, SharerSet::from_bits(0b1111));
         assert!(check(&s).is_ok());
     }
 
@@ -523,7 +523,7 @@ mod tests {
                 1,
                 CopyView { state: CopyState::Owner { exclusive: true, dirty: false }, version: 0 },
             );
-            s.recorded.insert(1, 0b10);
+            s.recorded.insert(1, SharerSet::from_bits(0b10));
             assert!(chk.check_step(&req_msg(0), &s, true).is_ok());
         }
 

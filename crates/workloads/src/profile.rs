@@ -249,6 +249,20 @@ impl Benchmark {
         }
     }
 
+    /// Short name accepted besides [`Benchmark::name`].
+    pub fn alias(&self) -> &'static str {
+        match self {
+            Benchmark::Apache => "apache",
+            Benchmark::Jbb => "jbb",
+            Benchmark::Radix => "radix",
+            Benchmark::Lu => "lu",
+            Benchmark::Volrend => "volrend",
+            Benchmark::Tomcatv => "tomcatv",
+            Benchmark::MixedCom => "mixed-com",
+            Benchmark::MixedSci => "mixed-sci",
+        }
+    }
+
     /// The profile run by `vm` (of `num_vms`).
     pub fn profile_for_vm(&self, vm: usize, num_vms: usize) -> &'static WorkloadProfile {
         match self {
@@ -285,9 +299,32 @@ impl Benchmark {
     }
 }
 
+/// Parses a report name or an alias, in any case.
+impl std::str::FromStr for Benchmark {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        Benchmark::all()
+            .into_iter()
+            .find(|b| b.name().eq_ignore_ascii_case(s) || b.alias().eq_ignore_ascii_case(s))
+            .ok_or_else(|| format!("unknown benchmark {s:?}"))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_benchmark_name_and_alias_parses_back() {
+        for b in Benchmark::all() {
+            for n in [b.name(), b.alias()] {
+                assert_eq!(n.parse::<Benchmark>(), Ok(b), "{n}");
+                assert_eq!(n.to_ascii_uppercase().parse::<Benchmark>(), Ok(b), "{n}");
+            }
+        }
+        assert!("apache4x".parse::<Benchmark>().is_err());
+    }
 
     /// Paper Table IV, "Memory saved by deduplication".
     const TABLE_IV: [(&WorkloadProfile, f64); 5] = [

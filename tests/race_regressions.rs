@@ -3,9 +3,12 @@
 //! interleaving through timing control rather than luck, so the fix
 //! stays pinned down.
 
-use cmpsim_engine::SimRng;
+use cmpsim_engine::{SimRng, SnapError, SnapReader, SnapWriter};
 use cmpsim_protocols::arin::Arin;
-use cmpsim_protocols::common::{ChipSpec, CoherenceProtocol};
+use cmpsim_protocols::checker::{ChipSnapshot, CopyState};
+use cmpsim_protocols::common::{
+    AccessOutcome, ChipSpec, CoherenceProtocol, Ctx, Msg, ProtoError, ProtoStats, ProtocolKind,
+};
 use cmpsim_protocols::dico::DiCo;
 use cmpsim_protocols::directory::Directory;
 use cmpsim_protocols::harness::{random_stress, Harness};
@@ -198,4 +201,109 @@ fn adversarial_latency_mix() {
         run(Providers::new(ChipSpec::tiny()), 0x9c00 + seed);
         run(Arin::new(ChipSpec::tiny()), 0x9d00 + seed);
     }
+}
+
+/// Delegates to a protocol and notes whether any home ever held a
+/// bounced request (`pending_summary` lists the bounce hold).
+struct BounceWatch<P> {
+    inner: P,
+    held: bool,
+}
+
+impl<P: CoherenceProtocol> CoherenceProtocol for BounceWatch<P> {
+    fn kind(&self) -> ProtocolKind {
+        self.inner.kind()
+    }
+    fn spec(&self) -> &ChipSpec {
+        self.inner.spec()
+    }
+    fn core_access(
+        &mut self,
+        ctx: &mut Ctx,
+        tile: usize,
+        block: u64,
+        write: bool,
+    ) -> Result<AccessOutcome, ProtoError> {
+        self.inner.core_access(ctx, tile, block, write)
+    }
+    fn handle(&mut self, ctx: &mut Ctx, msg: Msg) -> Result<(), ProtoError> {
+        self.inner.handle(ctx, msg)?;
+        self.held |= self.inner.pending_summary().contains("bounce_hold");
+        Ok(())
+    }
+    fn stats(&self) -> &ProtoStats {
+        self.inner.stats()
+    }
+    fn stats_mut(&mut self) -> &mut ProtoStats {
+        self.inner.stats_mut()
+    }
+    fn reset_stats(&mut self) {
+        self.inner.reset_stats()
+    }
+    fn quiescent(&self) -> bool {
+        self.inner.quiescent()
+    }
+    fn snapshot(&self) -> ChipSnapshot {
+        self.inner.snapshot()
+    }
+    fn pending_summary(&self) -> String {
+        self.inner.pending_summary()
+    }
+    fn clone_box(&self) -> Box<dyn CoherenceProtocol> {
+        self.inner.clone_box()
+    }
+    fn save_state(&self, w: &mut SnapWriter) {
+        self.inner.save_state(w)
+    }
+    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.inner.load_state(r)
+    }
+}
+
+/// Race: a vouched request bounces off the cache the home's owner
+/// pointer still names, while that cache's ownership hand-off is still
+/// travelling. The owner O evicts the block toward its sharers S1, S2
+/// and T; S1 and S2 dropped their copies silently, so the transfer is
+/// forwarded twice before T registers with Change_Owner. O misses on the
+/// block again meanwhile: the home vouches the request to O, O bounces
+/// it, and the home must hold it until T's Change_Owner lands, then
+/// replay it fresh so T serves it. DiCo runs on the tiny chip; the area
+/// variants need four tiles in O's area, so they run on the small chip
+/// (area 0 = tiles 0, 1, 4, 5).
+#[test]
+fn vouched_bounce_is_held_until_the_ownership_lands() {
+    fn run<P: CoherenceProtocol>(proto: P, [o, s1, s2, t]: [usize; 4]) {
+        let sets = proto.spec().l1.sets as u64;
+        let mut h = Harness::new(BounceWatch { inner: proto, held: false });
+        h.enable_invariant_checker();
+        h.push_access(o, B, true);
+        h.run_checked(10_000);
+        for r in [s1, s2, t] {
+            h.push_access(r, B, false);
+        }
+        h.run_checked(20_000);
+        // S1 and S2 lose their copies to conflict misses (silently).
+        for r in [s1, s2] {
+            h.push_access(r, B + sets, false);
+            h.push_access(r, B + 2 * sets, false);
+        }
+        h.run_checked(30_000);
+        assert!(!h.proto.held);
+        // O evicts the block, then misses on it right away.
+        h.push_access(o, B + sets, false);
+        h.push_access(o, B + 2 * sets, false);
+        h.push_access(o, B, false);
+        h.run_checked(40_000);
+        let name = h.proto.kind().name();
+        assert!(h.proto.held, "{name}: the bounce was never held");
+        let snap = h.proto.snapshot();
+        assert!(
+            matches!(snap.l1[t].get(&B).map(|c| c.state), Some(CopyState::Owner { .. })),
+            "{name}: T inherits the ownership"
+        );
+        assert!(matches!(snap.l1[o].get(&B).map(|c| c.state), Some(CopyState::Shared)), "{name}");
+    }
+    run(DiCo::new(ChipSpec::tiny()), [0, 1, 2, 3]);
+    run(Providers::new(ChipSpec::small()), [0, 1, 4, 5]);
+    run(Arin::new(ChipSpec::small()), [0, 1, 4, 5]);
 }
