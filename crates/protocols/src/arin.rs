@@ -24,7 +24,7 @@
 //!   reverts the block to an area-confined state owned by the writer.
 
 use crate::common::*;
-use crate::family::{Family, HomeTx, L1State, L2Entry, PolicyTx, SharingPolicy};
+use crate::family::{Family, HomeTx, L1State, L2Entry, NoPropos, PolicyTx, SharingPolicy};
 use cmpsim_engine::{FxHashSet, Snap, SnapError, SnapReader, SnapWriter};
 
 /// The DiCo-Arin protocol.
@@ -138,7 +138,7 @@ impl SharingPolicy for ArinPolicy {
     const AREAS: bool = true;
     const STATE_FIRST: bool = true;
 
-    type LinePropos = crate::family::NoPropos;
+    type LinePropos = NoPropos;
     type Home = L2Role;
     type Tx = ArinTx;
 

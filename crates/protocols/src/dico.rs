@@ -26,7 +26,7 @@
 //! serialized first) but is not installed.
 
 use crate::common::*;
-use crate::family::{Family, L2Entry, PolicyTx, SharingPolicy};
+use crate::family::{Family, HomeTx, L2Entry, NoPropos, PolicyTx, SharingPolicy};
 use cmpsim_engine::{Snap, SnapError, SnapReader, SnapWriter};
 
 /// The Direct Coherence protocol.
@@ -85,7 +85,7 @@ impl SharingPolicy for DiCoPolicy {
     const AREAS: bool = false;
     const FORGET_ON_UPGRADE: bool = false;
 
-    type LinePropos = crate::family::NoPropos;
+    type LinePropos = NoPropos;
     type Home = SharerSet;
     type Tx = DiCoTx;
 
@@ -132,7 +132,7 @@ impl SharingPolicy for DiCoPolicy {
         }
         f.home_queues[home].set_busy(block);
         let tx = DiCoTx::EvictL2 { acks_left: e.home.len(), dirty: e.dirty, version: e.version };
-        f.tx[home].insert(block, crate::family::HomeTx::Policy(tx));
+        f.tx[home].insert(block, HomeTx::Policy(tx));
         let me = Node::L2(home);
         let inv = Msg {
             kind: MsgKind::Inv { reply_to: me, version: e.version },
@@ -149,7 +149,7 @@ impl SharingPolicy for DiCoPolicy {
 
     fn home_ack(f: &mut DiCo, ctx: &mut Ctx, home: Tile, msg: Msg) -> Result<(), ProtoError> {
         let block = msg.block;
-        let Some(crate::family::HomeTx::Policy(DiCoTx::EvictL2 { acks_left, dirty, version })) =
+        let Some(HomeTx::Policy(DiCoTx::EvictL2 { acks_left, dirty, version })) =
             f.tx[home].get_mut(&block)
         else {
             return Err(ProtoError::new(

@@ -13,7 +13,7 @@
 //! A sharing code is a [`SharerSet`]. DiCo's owner keeps a chip-wide
 //! full map (index = tile); the two area-based variants keep one per
 //! area (index = the tile's position inside its area), which
-//! [`Family::scope`] and [`Family::member`] translate.
+//! `Family::scope` and `Family::member` translate.
 
 use crate::checker::{ChipSnapshot, CopyState, CopyView, L2View};
 use crate::common::*;
