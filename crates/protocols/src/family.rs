@@ -24,7 +24,7 @@ use std::fmt;
 use std::marker::PhantomData;
 
 /// Hand-off notes kept per tile before the oldest is forgotten.
-pub const TOMBSTONE_CAP: usize = 128;
+const TOMBSTONE_CAP: usize = 128;
 
 /// L1 line state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,7 +98,7 @@ impl ProposSlot for Propos {
 }
 
 /// Number of live provider pointers.
-pub fn propo_count(p: &Propos) -> u32 {
+pub(crate) fn propo_count(p: &Propos) -> u32 {
     p.iter().filter(|x| x.is_some()).count() as u32
 }
 
@@ -308,19 +308,19 @@ impl<T: PolicyTx> Snap for HomeTx<T> {
 
 /// Per-tile hand-off notes ("the ownership went to X"), capped FIFO.
 #[derive(Debug, Clone)]
-pub struct Tombstones<T> {
+pub(crate) struct Tombstones<T> {
     notes: Vec<FxHashMap<Block, T>>,
     fifo: Vec<VecDeque<Block>>,
 }
 
 impl<T: Copy> Tombstones<T> {
     /// Empty notes for `tiles` tiles.
-    pub fn new(tiles: usize) -> Self {
+    pub(crate) fn new(tiles: usize) -> Self {
         Self { notes: vec![FxHashMap::default(); tiles], fifo: vec![VecDeque::new(); tiles] }
     }
 
     /// Records that `block` left `tile` toward `to`.
-    pub fn set(&mut self, tile: Tile, block: Block, to: T) {
+    pub(crate) fn set(&mut self, tile: Tile, block: Block, to: T) {
         if self.notes[tile].insert(block, to).is_none() {
             self.fifo[tile].push_back(block);
             if self.fifo[tile].len() > TOMBSTONE_CAP {
@@ -333,13 +333,13 @@ impl<T: Copy> Tombstones<T> {
 
     /// Where `block` went from `tile`, if noted.
     #[inline]
-    pub fn get(&self, tile: Tile, block: Block) -> Option<T> {
+    pub(crate) fn get(&self, tile: Tile, block: Block) -> Option<T> {
         self.notes[tile].get(&block).copied()
     }
 
     /// Drops the note (a fresh copy or transfer supersedes it).
     #[inline]
-    pub fn forget(&mut self, tile: Tile, block: Block) {
+    pub(crate) fn forget(&mut self, tile: Tile, block: Block) {
         self.notes[tile].remove(&block);
     }
 }
@@ -357,13 +357,13 @@ impl<T: Snap + Copy> Snap for Tombstones<T> {
 
 /// What travels with an ownership hand-off.
 #[derive(Debug, Clone, Copy)]
-pub struct Handoff {
+struct Handoff {
     /// Dirty with respect to memory.
-    pub dirty: bool,
+    dirty: bool,
     /// Data version.
-    pub version: u64,
+    version: u64,
     /// Provider pointers (DiCo-Providers; all `None` otherwise).
-    pub propos: Propos,
+    propos: Propos,
 }
 
 /// Where a DiCo-family protocol keeps its sharing information, and the
