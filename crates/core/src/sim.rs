@@ -975,18 +975,15 @@ impl CmpSimulator {
 
     /// Runs the per-message invariant checks after `msg` was handled.
     fn check_invariants(&mut self, now: Cycle, msg: &Msg) -> Result<(), SimError> {
-        if let Some(chk) = &mut self.checker {
-            chk.record_message(now, msg);
-        } else {
+        let Some(chk) = &mut self.checker else {
             return Ok(());
-        }
-        let snap = self.proto.snapshot();
+        };
+        chk.record_message(now, msg);
         // True quiescence needs an empty event queue too: fire-and-forget
         // traffic (hints, acks, writebacks) is not tracked by the
         // protocol's pending state.
         let quiescent = self.queue.is_empty() && self.proto.quiescent();
-        let chk = self.checker.as_ref().expect("checked above");
-        if let Err(violations) = chk.check_step(msg, &snap, quiescent) {
+        if let Err(violations) = chk.check_step(msg, &*self.proto, quiescent) {
             return Err(SimError::InvariantViolation(Box::new(InvariantReport {
                 cycle: now,
                 events: self.events,
@@ -994,6 +991,31 @@ impl CmpSimulator {
                 block: msg.block,
                 violations,
                 history: chk.history_for(msg.block),
+                artifact: None,
+            })));
+        }
+        Ok(())
+    }
+
+    /// Runs the full quiescent invariant checks once the event loop has
+    /// drained. A run's last event need not be a delivered message, so
+    /// the per-message checks may never have seen the chip quiescent. A
+    /// chip still busy at the drain is left to `finalize`'s stall report.
+    fn check_drained(&self) -> Result<(), SimError> {
+        let Some(chk) = &self.checker else {
+            return Ok(());
+        };
+        if !self.proto.quiescent() {
+            return Ok(());
+        }
+        if let Err((block, violations)) = chk.check_drained(&*self.proto) {
+            return Err(SimError::InvariantViolation(Box::new(InvariantReport {
+                cycle: self.queue.now(),
+                events: self.events,
+                trigger: "event queue drained".to_string(),
+                block,
+                violations,
+                history: chk.history_for(block),
                 artifact: None,
             })));
         }
@@ -1207,6 +1229,7 @@ impl CmpSimulator {
                 return Ok(PhaseExit::Warmed);
             }
         }
+        self.check_drained()?;
         Ok(PhaseExit::Drained)
     }
 
@@ -1686,6 +1709,7 @@ pub fn run_matrix_with_options(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cmpsim_protocols::checker::{ChipSnapshot, CopyView};
 
     #[test]
     fn smoke_all_protocols_complete() {
@@ -1787,6 +1811,86 @@ mod tests {
             let r = run_benchmark(kind, Benchmark::Radix, &cfg)
                 .unwrap_or_else(|e| panic!("{kind:?}: {e}"));
             assert!(r.measured_refs > 0);
+        }
+    }
+
+    /// A protocol whose whole-chip snapshot always claims a committed
+    /// write nobody holds, so every quiescent check fails.
+    struct LostWrite(Box<dyn CoherenceProtocol>);
+
+    /// The block [`LostWrite`] loses.
+    const LOST: Block = 0xdead_beef;
+
+    impl CoherenceProtocol for LostWrite {
+        fn kind(&self) -> ProtocolKind {
+            self.0.kind()
+        }
+        fn spec(&self) -> &ChipSpec {
+            self.0.spec()
+        }
+        fn core_access(
+            &mut self,
+            ctx: &mut Ctx,
+            tile: Tile,
+            block: Block,
+            write: bool,
+        ) -> Result<AccessOutcome, ProtoError> {
+            self.0.core_access(ctx, tile, block, write)
+        }
+        fn handle(&mut self, ctx: &mut Ctx, msg: Msg) -> Result<(), ProtoError> {
+            self.0.handle(ctx, msg)
+        }
+        fn stats(&self) -> &ProtoStats {
+            self.0.stats()
+        }
+        fn stats_mut(&mut self) -> &mut ProtoStats {
+            self.0.stats_mut()
+        }
+        fn reset_stats(&mut self) {
+            self.0.reset_stats()
+        }
+        fn quiescent(&self) -> bool {
+            self.0.quiescent()
+        }
+        fn snapshot(&self) -> ChipSnapshot {
+            let mut snap = self.0.snapshot();
+            snap.authority.insert(LOST, 1);
+            snap
+        }
+        fn l1_copies(&self, block: Block, out: &mut Vec<(Tile, CopyView)>) {
+            self.0.l1_copies(block, out)
+        }
+        fn clone_box(&self) -> Box<dyn CoherenceProtocol> {
+            self.0.clone_box()
+        }
+        fn save_state(&self, w: &mut SnapWriter) {
+            self.0.save_state(w)
+        }
+        fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+            self.0.load_state(r)
+        }
+    }
+
+    /// A checked run ends with the whole-chip checks even when its last
+    /// event is not a delivered message (Directory's never is here), and
+    /// a violation there is reported against the drained queue.
+    #[test]
+    fn checked_run_ends_with_the_whole_chip_checks() {
+        let cfg = SystemConfig::smoke().with_invariant_checks();
+        for kind in ProtocolKind::all() {
+            let mut sim = CmpSimulator::new(kind, Benchmark::Radix, &cfg);
+            sim.proto = Box::new(LostWrite(build_protocol(kind, cfg.chip.clone())));
+            let Err(SimError::InvariantViolation(r)) = sim.run() else {
+                panic!("{kind:?}: the lost write went unnoticed");
+            };
+            assert_eq!(
+                r.violations,
+                ["block 0xdeadbeef: latest version 1 lost (memory has 0)"],
+                "{kind:?}"
+            );
+            if kind == ProtocolKind::Directory {
+                assert_eq!((r.trigger.as_str(), r.block), ("event queue drained", LOST));
+            }
         }
     }
 

@@ -18,14 +18,19 @@
 //!
 //! [`StepChecker`] additionally validates the *mid-flight* invariants
 //! after every handled message: the SWMR single-owner rule and DiCo's
-//! forwarding bound hold at every step, and the full quiescent checks
-//! (plus owner-pointer consistency) run whenever the chip drains. It
-//! keeps a bounded history of recent events so a violation report can
-//! show what led up to it.
+//! forwarding bound hold at every step. A step is incremental — it reads
+//! only the touched block's L1 copies through
+//! [`CoherenceProtocol::l1_copies`] (one probe per tile, no replacement
+//! state touched); the whole-chip [`ChipSnapshot`] is taken only when the
+//! chip is quiescent, where the full checks (plus owner-pointer
+//! consistency) run, and once more when a checked run's event loop
+//! drains. It keeps a bounded history of raw recent events, formatted
+//! only when a violation report shows what led up to it.
 
-use crate::common::{Block, Msg, MsgKind, SharerSet, Tile, MAX_CHASE_HOPS};
+use crate::common::{Block, CoherenceProtocol, Msg, MsgKind, SharerSet, Tile, MAX_CHASE_HOPS};
 use cmpsim_engine::Cycle;
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt;
 
 /// State of one L1 copy, protocol-agnostic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,7 +51,7 @@ pub enum CopyState {
 }
 
 /// One L1 copy.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CopyView {
     /// Coherence state.
     pub state: CopyState,
@@ -109,6 +114,20 @@ impl ChipSnapshot {
 
 /// Checks all invariants; returns every violation found (empty = pass).
 pub fn check(snap: &ChipSnapshot) -> Result<(), Vec<String>> {
+    let errors = violations(snap, false);
+    if errors.is_empty() {
+        Ok(())
+    } else {
+        Err(errors.into_iter().map(|(_, e)| e).collect())
+    }
+}
+
+/// Every violated quiescent invariant, each with the block it concerns,
+/// in [`check`]'s order; `owner_pointers` appends the owner-pointer
+/// consistency check (every home that names an L1 owner must find that
+/// L1 actually owning the block — ownership moves are never silent, so
+/// at quiescence the pointer is exact).
+fn violations(snap: &ChipSnapshot, owner_pointers: bool) -> Vec<(Block, String)> {
     let mut errors = Vec::new();
 
     for block in snap.all_blocks() {
@@ -120,6 +139,7 @@ pub fn check(snap: &ChipSnapshot) -> Result<(), Vec<String>> {
             .collect();
         let authority = snap.authority.get(&block).copied().unwrap_or(0);
         let l2 = snap.l2.get(&block).copied().unwrap_or_default();
+        let mut push = |e: String| errors.push((block, e));
 
         // 1. Single owner.
         let owners: Vec<Tile> = copies
@@ -128,14 +148,14 @@ pub fn check(snap: &ChipSnapshot) -> Result<(), Vec<String>> {
             .map(|(t, _)| *t)
             .collect();
         if owners.len() > 1 {
-            errors.push(format!("block {block:#x}: multiple owners {owners:?}"));
+            push(format!("block {block:#x}: multiple owners {owners:?}"));
         }
 
         // 2. Exclusivity.
         for (t, c) in &copies {
             if let CopyState::Owner { exclusive: true, .. } = c.state {
                 if copies.len() > 1 {
-                    errors.push(format!(
+                    push(format!(
                         "block {block:#x}: exclusive owner in tile {t} but {} copies exist",
                         copies.len()
                     ));
@@ -146,7 +166,7 @@ pub fn check(snap: &ChipSnapshot) -> Result<(), Vec<String>> {
         // 3. No stale copies.
         for (t, c) in &copies {
             if c.version != authority {
-                errors.push(format!(
+                push(format!(
                     "block {block:#x}: tile {t} holds version {} but authority is {authority}",
                     c.version
                 ));
@@ -156,7 +176,7 @@ pub fn check(snap: &ChipSnapshot) -> Result<(), Vec<String>> {
             .iter()
             .any(|(_, c)| matches!(c.state, CopyState::Owner { dirty: true, .. }));
         if l2.has_data && !dirty_owner && l2.version != authority {
-            errors.push(format!(
+            push(format!(
                 "block {block:#x}: L2 holds version {} but authority is {authority}",
                 l2.version
             ));
@@ -167,7 +187,7 @@ pub fn check(snap: &ChipSnapshot) -> Result<(), Vec<String>> {
         if let Some(&bits) = snap.recorded.get(&block) {
             for (t, _) in &copies {
                 if !bits.contains(*t) {
-                    errors.push(format!(
+                    push(format!(
                         "block {block:#x}: tile {t} holds an untracked copy (recorded {bits:#x})"
                     ));
                 }
@@ -179,28 +199,68 @@ pub fn check(snap: &ChipSnapshot) -> Result<(), Vec<String>> {
         let cached_current =
             copies.iter().any(|(_, c)| c.version == authority) || (l2.has_data && l2.version == authority);
         if !cached_current && mem_version != authority {
-            errors.push(format!(
+            push(format!(
                 "block {block:#x}: latest version {authority} lost (memory has {mem_version})"
             ));
         }
     }
 
-    if errors.is_empty() {
-        Ok(())
-    } else {
-        Err(errors)
+    if owner_pointers {
+        for (&block, view) in &snap.l2 {
+            if let Some(t) = view.owner_in_l1 {
+                let owns = matches!(
+                    snap.l1.get(t).and_then(|m| m.get(&block)).map(|c| c.state),
+                    Some(CopyState::Owner { .. })
+                );
+                if !owns {
+                    errors.push((
+                        block,
+                        format!(
+                            "block {block:#x}: home points at owner tile {t}, which does not own the block"
+                        ),
+                    ));
+                }
+            }
+        }
+    }
+    errors
+}
+
+/// What a [`HistoryEntry`] records, kept raw: it is formatted only when
+/// a violation is reported.
+#[derive(Debug, Clone, Copy)]
+pub enum HistoryEvent {
+    /// A core access presented to its L1.
+    Access {
+        /// Issuing tile.
+        tile: Tile,
+        /// Store (`true`) or load.
+        write: bool,
+    },
+    /// A delivered message.
+    Message(Msg),
+}
+
+impl fmt::Display for HistoryEvent {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            HistoryEvent::Access { tile, write } => {
+                write!(f, "core {tile} {}", if *write { "store" } else { "load" })
+            }
+            HistoryEvent::Message(m) => write!(f, "{:?} -> {:?}: {:?}", m.src, m.dst, m.kind),
+        }
     }
 }
 
 /// One entry in the [`StepChecker`]'s event history.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct HistoryEntry {
     /// Cycle the event happened at.
     pub cycle: Cycle,
     /// Block concerned.
     pub block: Block,
-    /// Short description of the event.
-    pub what: String,
+    /// The event itself.
+    pub event: HistoryEvent,
 }
 
 /// Per-message invariant checker (the watchdog's second half).
@@ -208,7 +268,7 @@ pub struct HistoryEntry {
 /// After each handled message, only the invariants that survive
 /// transient states may be asserted — exclusivity and stale-copy checks
 /// are *legally* violated while invalidations are in flight, so they run
-/// only when the protocol reports quiescence. What holds at every step:
+/// only when the chip is quiescent. What holds at every step:
 ///
 /// * **SWMR single owner** — at most one L1 owns the touched block;
 /// * **forwarding bound** — no request has been L1-to-L1 forwarded more
@@ -216,10 +276,16 @@ pub struct HistoryEntry {
 /// * **at quiescence** — the full [`check`] plus owner-pointer
 ///   consistency (every home that names an L1 owner must find that L1
 ///   actually owning the block).
+///
+/// A step reads only the touched block's L1 copies
+/// ([`CoherenceProtocol::l1_copies`]); the whole-chip [`ChipSnapshot`] is
+/// taken only at quiescence and by [`check_drained`](Self::check_drained).
 #[derive(Debug, Clone)]
 pub struct StepChecker {
     history: VecDeque<HistoryEntry>,
     capacity: usize,
+    /// The touched block's L1 copies (reused across steps).
+    copies: Vec<(Tile, CopyView)>,
 }
 
 impl Default for StepChecker {
@@ -236,34 +302,33 @@ impl StepChecker {
 
     /// A checker keeping the last `capacity` events.
     pub fn with_capacity(capacity: usize) -> Self {
-        Self { history: VecDeque::with_capacity(capacity.min(4096)), capacity }
+        Self { history: VecDeque::new(), capacity, copies: Vec::new() }
     }
 
-    fn push(&mut self, cycle: Cycle, block: Block, what: String) {
+    fn push(&mut self, cycle: Cycle, block: Block, event: HistoryEvent) {
         if self.history.len() == self.capacity {
             self.history.pop_front();
         }
-        self.history.push_back(HistoryEntry { cycle, block, what });
+        self.history.push_back(HistoryEntry { cycle, block, event });
     }
 
     /// Records a core access in the history window.
     pub fn record_access(&mut self, now: Cycle, tile: Tile, block: Block, write: bool) {
-        let rw = if write { "store" } else { "load" };
-        self.push(now, block, format!("core {tile} {rw}"));
+        self.push(now, block, HistoryEvent::Access { tile, write });
     }
 
     /// Records a delivered message in the history window.
     pub fn record_message(&mut self, now: Cycle, msg: &Msg) {
-        self.push(now, msg.block, format!("{:?} -> {:?}: {:?}", msg.src, msg.dst, msg.kind));
+        self.push(now, msg.block, HistoryEvent::Message(*msg));
     }
 
-    /// Validates the mid-flight invariants after `msg` was handled;
+    /// Validates the mid-flight invariants after `proto` handled `msg`;
     /// `quiescent` additionally triggers the full quiescent-state checks.
     /// Returns every violation found (empty = pass).
-    pub fn check_step(
-        &self,
+    pub fn check_step<P: CoherenceProtocol + ?Sized>(
+        &mut self,
         msg: &Msg,
-        snap: &ChipSnapshot,
+        proto: &P,
         quiescent: bool,
     ) -> Result<(), Vec<String>> {
         let mut errors = Vec::new();
@@ -280,39 +345,16 @@ impl StepChecker {
         }
 
         // SWMR: at most one L1 owner of the touched block, at all times.
-        let owners: Vec<Tile> = snap
-            .l1
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| {
-                matches!(m.get(&msg.block).map(|c| c.state), Some(CopyState::Owner { .. }))
-            })
-            .map(|(t, _)| t)
-            .collect();
-        if owners.len() > 1 {
+        proto.l1_copies(msg.block, &mut self.copies);
+        let is_owner = |c: &CopyView| matches!(c.state, CopyState::Owner { .. });
+        if self.copies.iter().filter(|(_, c)| is_owner(c)).nth(1).is_some() {
+            let owners: Vec<Tile> =
+                self.copies.iter().filter(|(_, c)| is_owner(c)).map(|(t, _)| *t).collect();
             errors.push(format!("block {:#x}: multiple owners {owners:?}", msg.block));
         }
 
         if quiescent {
-            if let Err(mut errs) = check(snap) {
-                errors.append(&mut errs);
-            }
-            // Owner-pointer consistency: a home naming an L1 owner must
-            // find it owning the block (ownership moves are never silent,
-            // so at quiescence the pointer is exact).
-            for (&block, view) in &snap.l2 {
-                if let Some(t) = view.owner_in_l1 {
-                    let owns = matches!(
-                        snap.l1.get(t).and_then(|m| m.get(&block)).map(|c| c.state),
-                        Some(CopyState::Owner { .. })
-                    );
-                    if !owns {
-                        errors.push(format!(
-                            "block {block:#x}: home points at owner tile {t}, which does not own the block"
-                        ));
-                    }
-                }
-            }
+            errors.extend(violations(&proto.snapshot(), true).into_iter().map(|(_, e)| e));
         }
 
         if errors.is_empty() {
@@ -322,18 +364,93 @@ impl StepChecker {
         }
     }
 
+    /// The full quiescent-state checks of [`check_step`](Self::check_step)
+    /// on a chip whose event loop has drained, whatever its last event
+    /// was. On failure returns the block of the first violation and
+    /// every violation found.
+    pub fn check_drained<P: CoherenceProtocol + ?Sized>(
+        &self,
+        proto: &P,
+    ) -> Result<(), (Block, Vec<String>)> {
+        let errors = violations(&proto.snapshot(), true);
+        match errors.first() {
+            None => Ok(()),
+            Some(&(block, _)) => Err((block, errors.into_iter().map(|(_, e)| e).collect())),
+        }
+    }
+
     /// The recorded history window for `block`, oldest first.
     pub fn history_for(&self, block: Block) -> Vec<String> {
         self.history
             .iter()
             .filter(|e| e.block == block)
-            .map(|e| format!("cycle {}: {}", e.cycle, e.what))
+            .map(|e| format!("cycle {}: {}", e.cycle, e.event))
             .collect()
     }
 
     /// The full recorded history window, oldest first.
     pub fn history(&self) -> impl Iterator<Item = &HistoryEntry> {
         self.history.iter()
+    }
+}
+
+/// The step check as it was before [`CoherenceProtocol::l1_copies`]:
+/// SWMR read off a whole-chip snapshot taken after every message. Kept
+/// as the oracle that [`StepChecker::check_step`] is differentially
+/// tested against.
+#[cfg(test)]
+pub(crate) fn check_step_whole_chip(
+    msg: &Msg,
+    snap: &ChipSnapshot,
+    quiescent: bool,
+) -> Result<(), Vec<String>> {
+    let mut errors = Vec::new();
+
+    if let MsgKind::Req(req) = msg.kind {
+        if req.hops > MAX_CHASE_HOPS {
+            errors.push(format!(
+                "block {:#x}: request from tile {} exceeded the forwarding bound ({} hops > {MAX_CHASE_HOPS})",
+                msg.block, req.requestor, req.hops
+            ));
+        }
+    }
+
+    let owners: Vec<Tile> = snap
+        .l1
+        .iter()
+        .enumerate()
+        .filter(|(_, m)| {
+            matches!(m.get(&msg.block).map(|c| c.state), Some(CopyState::Owner { .. }))
+        })
+        .map(|(t, _)| t)
+        .collect();
+    if owners.len() > 1 {
+        errors.push(format!("block {:#x}: multiple owners {owners:?}", msg.block));
+    }
+
+    if quiescent {
+        if let Err(mut errs) = check(snap) {
+            errors.append(&mut errs);
+        }
+        for (&block, view) in &snap.l2 {
+            if let Some(t) = view.owner_in_l1 {
+                let owns = matches!(
+                    snap.l1.get(t).and_then(|m| m.get(&block)).map(|c| c.state),
+                    Some(CopyState::Owner { .. })
+                );
+                if !owns {
+                    errors.push(format!(
+                        "block {block:#x}: home points at owner tile {t}, which does not own the block"
+                    ));
+                }
+            }
+        }
+    }
+
+    if errors.is_empty() {
+        Ok(())
+    } else {
+        Err(errors)
     }
 }
 
@@ -463,7 +580,10 @@ mod tests {
 
     mod step_checker {
         use super::*;
-        use crate::common::{DataInfo, Node, ReqInfo, Supplier};
+        use crate::common::{
+            AccessOutcome, ChipSpec, Ctx, DataInfo, Node, ProtoError, ProtoStats, ProtocolKind,
+            ReqInfo, Supplier,
+        };
 
         fn req_msg(hops: u8) -> Msg {
             Msg {
@@ -482,18 +602,88 @@ mod tests {
             }
         }
 
+        /// A chip frozen in a hand-built snapshot, so a test can run the
+        /// incremental step check on exactly the state the whole-chip
+        /// oracle sees.
+        struct Frozen {
+            snap: ChipSnapshot,
+            spec: ChipSpec,
+            stats: ProtoStats,
+        }
+
+        impl CoherenceProtocol for Frozen {
+            fn kind(&self) -> ProtocolKind {
+                ProtocolKind::Directory
+            }
+            fn spec(&self) -> &ChipSpec {
+                &self.spec
+            }
+            fn core_access(
+                &mut self,
+                _: &mut Ctx,
+                _: Tile,
+                _: Block,
+                _: bool,
+            ) -> Result<AccessOutcome, ProtoError> {
+                unreachable!("a frozen chip takes no accesses")
+            }
+            fn handle(&mut self, _: &mut Ctx, _: Msg) -> Result<(), ProtoError> {
+                unreachable!("a frozen chip takes no messages")
+            }
+            fn stats(&self) -> &ProtoStats {
+                &self.stats
+            }
+            fn stats_mut(&mut self) -> &mut ProtoStats {
+                &mut self.stats
+            }
+            fn reset_stats(&mut self) {}
+            fn quiescent(&self) -> bool {
+                true
+            }
+            fn snapshot(&self) -> ChipSnapshot {
+                self.snap.clone()
+            }
+            fn l1_copies(&self, block: Block, out: &mut Vec<(Tile, CopyView)>) {
+                out.clear();
+                out.extend(
+                    self.snap
+                        .l1
+                        .iter()
+                        .enumerate()
+                        .filter_map(|(t, m)| m.get(&block).map(|c| (t, *c))),
+                );
+            }
+            fn clone_box(&self) -> Box<dyn CoherenceProtocol> {
+                unreachable!("a frozen chip is never forked")
+            }
+            fn save_state(&self, _: &mut cmpsim_engine::SnapWriter) {}
+            fn load_state(
+                &mut self,
+                _: &mut cmpsim_engine::SnapReader<'_>,
+            ) -> Result<(), cmpsim_engine::SnapError> {
+                Ok(())
+            }
+        }
+
+        /// Both step checks on `snap`; they must agree.
+        fn step(msg: &Msg, snap: &ChipSnapshot, quiescent: bool) -> Result<(), Vec<String>> {
+            let chip =
+                Frozen { snap: snap.clone(), spec: ChipSpec::tiny(), stats: ProtoStats::default() };
+            let verdict = StepChecker::new().check_step(msg, &chip, quiescent);
+            assert_eq!(verdict, check_step_whole_chip(msg, snap, quiescent));
+            verdict
+        }
+
         #[test]
         fn hop_bound_enforced() {
-            let chk = StepChecker::new();
             let s = snap2();
-            assert!(chk.check_step(&req_msg(MAX_CHASE_HOPS), &s, false).is_ok());
-            let errs = chk.check_step(&req_msg(MAX_CHASE_HOPS + 1), &s, false).unwrap_err();
+            assert!(step(&req_msg(MAX_CHASE_HOPS), &s, false).is_ok());
+            let errs = step(&req_msg(MAX_CHASE_HOPS + 1), &s, false).unwrap_err();
             assert!(errs.iter().any(|e| e.contains("forwarding bound")));
         }
 
         #[test]
         fn midflight_allows_transient_staleness_but_not_double_owner() {
-            let chk = StepChecker::new();
             let mut s = snap2();
             // A stale sharer is legal mid-flight (invalidation en route)…
             s.authority.insert(1, 5);
@@ -502,29 +692,51 @@ mod tests {
                 CopyView { state: CopyState::Owner { exclusive: false, dirty: true }, version: 5 },
             );
             s.l1[1].insert(1, CopyView { state: CopyState::Shared, version: 4 });
-            assert!(chk.check_step(&req_msg(0), &s, false).is_ok());
+            assert!(step(&req_msg(0), &s, false).is_ok());
             // …but a second owner never is.
             s.l1[1].insert(
                 1,
                 CopyView { state: CopyState::Owner { exclusive: false, dirty: false }, version: 4 },
             );
-            let errs = chk.check_step(&req_msg(0), &s, false).unwrap_err();
+            let errs = step(&req_msg(0), &s, false).unwrap_err();
             assert!(errs.iter().any(|e| e.contains("multiple owners")));
+            // At quiescence the same state also fails the whole-chip checks.
+            let errs = step(&req_msg(MAX_CHASE_HOPS + 1), &s, true).unwrap_err();
+            assert_eq!(errs.len(), 4, "{errs:?}");
         }
 
         #[test]
         fn quiescent_owner_pointer_must_be_accurate() {
-            let chk = StepChecker::new();
             let mut s = snap2();
             s.l2.insert(1, L2View { has_data: false, version: 0, dirty: false, owner_in_l1: Some(1) });
-            let errs = chk.check_step(&req_msg(0), &s, true).unwrap_err();
+            let errs = step(&req_msg(0), &s, true).unwrap_err();
             assert!(errs.iter().any(|e| e.contains("points at owner tile 1")));
             s.l1[1].insert(
                 1,
                 CopyView { state: CopyState::Owner { exclusive: true, dirty: false }, version: 0 },
             );
             s.recorded.insert(1, SharerSet::from_bits(0b10));
-            assert!(chk.check_step(&req_msg(0), &s, true).is_ok());
+            assert!(step(&req_msg(0), &s, true).is_ok());
+        }
+
+        #[test]
+        fn drained_check_names_the_first_offending_block() {
+            let mut s = snap2();
+            s.authority.insert(3, 2);
+            s.l2.insert(
+                5,
+                L2View { has_data: false, version: 0, dirty: false, owner_in_l1: Some(0) },
+            );
+            let chip = Frozen { snap: s, spec: ChipSpec::tiny(), stats: ProtoStats::default() };
+            let (block, errs) = StepChecker::new().check_drained(&chip).unwrap_err();
+            assert_eq!(block, 3);
+            assert_eq!(
+                errs,
+                [
+                    "block 0x3: latest version 2 lost (memory has 0)",
+                    "block 0x5: home points at owner tile 0, which does not own the block",
+                ]
+            );
         }
 
         #[test]
@@ -544,6 +756,41 @@ mod tests {
             };
             chk.record_message(11, &msg);
             assert_eq!(chk.history_for(7).len(), 1);
+        }
+
+        /// Crash dumps and `replay --check` print these lines; their text
+        /// is part of the output contract.
+        #[test]
+        fn history_renders_accesses_and_messages_byte_for_byte() {
+            let mut chk = StepChecker::new();
+            chk.record_access(40, 3, 7, true);
+            chk.record_access(41, 2, 7, false);
+            chk.record_message(
+                52,
+                &Msg {
+                    kind: MsgKind::Data(DataInfo::shared(1, Supplier::HomeL2)),
+                    block: 7,
+                    src: Node::L2(0),
+                    dst: Node::L1(1),
+                },
+            );
+            chk.record_message(60, &req_msg(MAX_CHASE_HOPS));
+            assert_eq!(
+                chk.history_for(7),
+                [
+                    "cycle 40: core 3 store",
+                    "cycle 41: core 2 load",
+                    "cycle 52: L2(0) -> L1(1): Data(DataInfo { exclusive: false, ownership: false, \
+                     make_provider: false, sharers: 0, propos: [None, None, None, None, None, None, \
+                     None, None, None, None, None, None, None, None, None, None], provider_hint: None, \
+                     acks_sharers: 0, acks_providers: 0, sba_write: false, dirty: false, version: 1, \
+                     supplier: HomeL2 })",
+                ]
+            );
+            assert_eq!(chk.history_for(1), [
+                    "cycle 60: L1(0) -> L1(1): Req(ReqInfo { requestor: 0, write: false, forwarder: None, \
+                     via_home: false, predicted: false, vouched: false, hops: 8 })"
+                ]);
         }
     }
 }

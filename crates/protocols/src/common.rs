@@ -1042,8 +1042,12 @@ pub trait CoherenceProtocol {
     /// True when no transaction is in flight anywhere in the chip
     /// (used by tests to know when invariants must hold exactly).
     fn quiescent(&self) -> bool;
-    /// Whole-chip snapshot for the invariant checker.
+    /// Whole-chip snapshot for the invariant checker's quiescent checks.
     fn snapshot(&self) -> crate::checker::ChipSnapshot;
+    /// Replaces `out` with every L1 copy of `block`, in tile order, as
+    /// [`snapshot`](Self::snapshot) would list them — the per-message
+    /// view of the invariant checker. Must not touch replacement state.
+    fn l1_copies(&self, block: Block, out: &mut Vec<(Tile, crate::checker::CopyView)>);
     /// Human-readable dump of in-flight transaction state, used by the
     /// test harness when a run fails to drain.
     fn pending_summary(&self) -> String {

@@ -32,6 +32,18 @@ struct L1Line {
     version: u64,
 }
 
+impl L1Line {
+    /// The line as the invariant checker sees it.
+    fn view(&self) -> CopyView {
+        let state = match self.state {
+            L1State::Shared => CopyState::Shared,
+            L1State::Exclusive => CopyState::Owner { exclusive: true, dirty: false },
+            L1State::Modified => CopyState::Owner { exclusive: true, dirty: true },
+        };
+        CopyView { state, version: self.version }
+    }
+}
+
 /// L2 data entry with embedded directory information (full map).
 #[derive(Debug, Clone)]
 struct L2Entry {
@@ -953,16 +965,18 @@ impl CoherenceProtocol for Directory {
         Occupancy { l1_lines, l1_capacity, l2_lines, l2_capacity, aux_lines, aux_capacity }
     }
 
+    fn l1_copies(&self, block: Block, out: &mut Vec<(Tile, CopyView)>) {
+        out.clear();
+        out.extend(
+            self.l1.iter().enumerate().filter_map(|(t, l1)| l1.peek(block).map(|l| (t, l.view()))),
+        );
+    }
+
     fn snapshot(&self) -> ChipSnapshot {
         let mut snap = ChipSnapshot::new(self.spec.tiles());
         for (t, l1) in self.l1.iter().enumerate() {
             for (block, line) in l1.iter() {
-                let state = match line.state {
-                    L1State::Shared => CopyState::Shared,
-                    L1State::Exclusive => CopyState::Owner { exclusive: true, dirty: false },
-                    L1State::Modified => CopyState::Owner { exclusive: true, dirty: true },
-                };
-                snap.l1[t].insert(block, CopyView { state, version: line.version });
+                snap.l1[t].insert(block, line.view());
             }
         }
         for bank in &self.l2 {

@@ -121,6 +121,16 @@ impl<P: SharingPolicy> L1Line<P> {
     pub(crate) fn dirty(&self) -> bool {
         matches!(self.state, L1State::Owner { dirty: true, .. })
     }
+
+    /// The line as the invariant checker sees it.
+    fn view(&self) -> CopyView {
+        let state = match self.state {
+            L1State::Sharer { .. } => CopyState::Shared,
+            L1State::Provider => CopyState::Provider,
+            L1State::Owner { exclusive, dirty } => CopyState::Owner { exclusive, dirty },
+        };
+        CopyView { state, version: self.version }
+    }
 }
 
 impl<P: SharingPolicy> Snap for L1Line<P> {
@@ -1932,16 +1942,18 @@ impl<P: SharingPolicy> CoherenceProtocol for Family<P> {
         out
     }
 
+    fn l1_copies(&self, block: Block, out: &mut Vec<(Tile, CopyView)>) {
+        out.clear();
+        out.extend(
+            self.l1.iter().enumerate().filter_map(|(t, l1)| l1.peek(block).map(|l| (t, l.view()))),
+        );
+    }
+
     fn snapshot(&self) -> ChipSnapshot {
         let mut snap = ChipSnapshot::new(self.spec.tiles());
         for (t, l1) in self.l1.iter().enumerate() {
             for (block, line) in l1.iter() {
-                let state = match line.state {
-                    L1State::Sharer { .. } => CopyState::Shared,
-                    L1State::Provider => CopyState::Provider,
-                    L1State::Owner { exclusive, dirty } => CopyState::Owner { exclusive, dirty },
-                };
-                snap.l1[t].insert(block, CopyView { state, version: line.version });
+                snap.l1[t].insert(block, line.view());
             }
         }
         for (home, bank) in self.l2.iter().enumerate() {

@@ -46,6 +46,10 @@ pub struct Harness<P: CoherenceProtocol> {
     /// Optional per-message invariant checker (see
     /// [`enable_invariant_checker`](Self::enable_invariant_checker)).
     checker: Option<StepChecker>,
+    /// Also run the whole-chip oracle on every checked message and
+    /// require the same verdict.
+    #[cfg(test)]
+    differential: bool,
 }
 
 impl<P: CoherenceProtocol> Harness<P> {
@@ -64,14 +68,16 @@ impl<P: CoherenceProtocol> Harness<P> {
             fifo: BTreeMap::new(),
             events_processed: 0,
             checker: None,
+            #[cfg(test)]
+            differential: false,
         }
     }
 
     /// Turns on the per-message invariant checker: SWMR and the
-    /// forwarding bound are validated after every handled message, and
-    /// the full quiescent checks whenever the chip drains. Slows the run
-    /// down (a whole-chip snapshot per message) but pins down *when* an
-    /// invariant first breaks instead of discovering it at the end.
+    /// forwarding bound are validated for the touched block after every
+    /// handled message, and the full whole-chip checks whenever the chip
+    /// is quiescent and once more when the run drains. Pins down *when*
+    /// an invariant first breaks instead of discovering it at the end.
     pub fn enable_invariant_checker(&mut self) {
         self.checker = Some(StepChecker::new());
     }
@@ -229,12 +235,16 @@ impl<P: CoherenceProtocol> Harness<P> {
                     self.apply_ctx(now, ctx);
                     if let Some(chk) = &mut self.checker {
                         chk.record_message(now, &msg);
-                        let snap = self.proto.snapshot();
                         // True quiescence needs an empty event queue too:
                         // fire-and-forget traffic (hints, acks, writebacks)
                         // is not tracked by the protocol's pending state.
                         let quiescent = self.queue.is_empty() && self.proto.quiescent();
-                        if let Err(errors) = chk.check_step(&msg, &snap, quiescent) {
+                        let verdict = chk.check_step(&msg, &self.proto, quiescent);
+                        #[cfg(test)]
+                        if self.differential {
+                            cross_check(&self.proto, &msg, quiescent, &verdict);
+                        }
+                        if let Err(errors) = verdict {
                             panic!(
                                 "invariant violation at cycle {now} after {:?} -> {:?}: {:?}\n{}\nhistory of block {:#x}:\n{}",
                                 msg.src,
@@ -261,6 +271,16 @@ impl<P: CoherenceProtocol> Harness<P> {
             );
         }
         assert!(self.proto.quiescent(), "protocol not quiescent after drain\n{}", self.proto.pending_summary());
+        if let Some(chk) = &self.checker {
+            if let Err((block, errors)) = chk.check_drained(&self.proto) {
+                panic!(
+                    "invariant violation at cycle {} after the event queue drained:\n{}\nhistory of block {block:#x}:\n{}",
+                    self.queue.now(),
+                    errors.join("\n"),
+                    chk.history_for(block).join("\n")
+                );
+            }
+        }
     }
 
     /// Runs and then checks every coherence invariant.
@@ -280,6 +300,33 @@ impl<P: CoherenceProtocol> Harness<P> {
     pub fn total_completed(&self) -> u64 {
         self.completed.iter().sum()
     }
+}
+
+/// Re-runs the step check of `msg` on the whole-chip oracle and
+/// requires the same verdict, and the same L1 copies of the block from
+/// `l1_copies` as from the snapshot.
+#[cfg(test)]
+fn cross_check<P: CoherenceProtocol>(
+    proto: &P,
+    msg: &Msg,
+    quiescent: bool,
+    verdict: &Result<(), Vec<String>>,
+) {
+    let snap = proto.snapshot();
+    let mut copies = Vec::new();
+    proto.l1_copies(msg.block, &mut copies);
+    let listed: Vec<_> = snap
+        .l1
+        .iter()
+        .enumerate()
+        .filter_map(|(t, m)| m.get(&msg.block).map(|c| (t, *c)))
+        .collect();
+    assert_eq!(copies, listed, "l1_copies disagrees with snapshot on block {:#x}", msg.block);
+    assert_eq!(
+        *verdict,
+        checker::check_step_whole_chip(msg, &snap, quiescent),
+        "checkers disagree after {msg:?}"
+    );
 }
 
 /// Generates a random access script mixing private and contended blocks,
@@ -311,10 +358,12 @@ pub fn random_stress<P: CoherenceProtocol>(
 mod tests {
     use super::*;
     use crate::arin::Arin;
-    use crate::common::ChipSpec;
+    use crate::checker::{ChipSnapshot, CopyState, CopyView};
+    use crate::common::{ChipSpec, ProtoError, ProtoStats, ProtocolKind, MAX_CHASE_HOPS};
     use crate::dico::DiCo;
     use crate::directory::Directory;
     use crate::providers::Providers;
+    use cmpsim_engine::{SnapError, SnapReader, SnapWriter};
 
     /// A randomized stress case.
     struct Case {
@@ -363,5 +412,218 @@ mod tests {
         stress(DiCo::new, 0xa);
         stress(Providers::new, 0xc);
         stress(Arin::new, 0xe);
+    }
+
+    /// How a [`Mutant`] breaks the protocol it wraps.
+    #[derive(Clone, Copy, PartialEq, Eq)]
+    enum Mutation {
+        /// From the `at`-th handled message on, tiles 0 and 1 both own
+        /// that message's block, in `l1_copies` and `snapshot` alike.
+        SecondOwner,
+        /// The first request sent once `at` messages were handled carries
+        /// one hop more than the forwarding bound allows.
+        HopOverflow,
+    }
+
+    /// A protocol with one injected defect, for the checkers to catch.
+    struct Mutant<P> {
+        inner: P,
+        mutation: Mutation,
+        at: u64,
+        handled: u64,
+        forged: Option<Block>,
+        overflowed: bool,
+    }
+
+    /// The tiles a [`Mutation::SecondOwner`] makes owners.
+    const FORGED: [Tile; 2] = [0, 1];
+
+    fn forged_owner(version: u64) -> CopyView {
+        CopyView { state: CopyState::Owner { exclusive: false, dirty: false }, version }
+    }
+
+    impl<P: CoherenceProtocol> Mutant<P> {
+        fn new(inner: P, mutation: Mutation, at: u64) -> Self {
+            Self { inner, mutation, at, handled: 0, forged: None, overflowed: false }
+        }
+
+        fn overflow_hops(&mut self, ctx: &mut Ctx) {
+            if self.mutation != Mutation::HopOverflow || self.handled < self.at || self.overflowed {
+                return;
+            }
+            for mut out in std::mem::take(&mut ctx.sends) {
+                if let MsgKind::Req(req) = &mut out.msg.kind {
+                    if !self.overflowed {
+                        req.hops = MAX_CHASE_HOPS + 1;
+                        self.overflowed = true;
+                    }
+                }
+                ctx.sends.push(out);
+            }
+        }
+    }
+
+    impl<P: CoherenceProtocol> CoherenceProtocol for Mutant<P> {
+        fn kind(&self) -> ProtocolKind {
+            self.inner.kind()
+        }
+        fn spec(&self) -> &ChipSpec {
+            self.inner.spec()
+        }
+        fn core_access(
+            &mut self,
+            ctx: &mut Ctx,
+            tile: Tile,
+            block: Block,
+            write: bool,
+        ) -> Result<AccessOutcome, ProtoError> {
+            let outcome = self.inner.core_access(ctx, tile, block, write)?;
+            self.overflow_hops(ctx);
+            Ok(outcome)
+        }
+        fn handle(&mut self, ctx: &mut Ctx, msg: Msg) -> Result<(), ProtoError> {
+            self.inner.handle(ctx, msg)?;
+            self.handled += 1;
+            if self.handled == self.at && self.mutation == Mutation::SecondOwner {
+                self.forged = Some(msg.block);
+            }
+            self.overflow_hops(ctx);
+            Ok(())
+        }
+        fn stats(&self) -> &ProtoStats {
+            self.inner.stats()
+        }
+        fn stats_mut(&mut self) -> &mut ProtoStats {
+            self.inner.stats_mut()
+        }
+        fn reset_stats(&mut self) {
+            self.inner.reset_stats()
+        }
+        fn quiescent(&self) -> bool {
+            self.inner.quiescent()
+        }
+        fn snapshot(&self) -> ChipSnapshot {
+            let mut snap = self.inner.snapshot();
+            if let Some(b) = self.forged {
+                for t in FORGED {
+                    let version = snap.l1[t].get(&b).map_or(0, |c| c.version);
+                    snap.l1[t].insert(b, forged_owner(version));
+                }
+            }
+            snap
+        }
+        fn l1_copies(&self, block: Block, out: &mut Vec<(Tile, CopyView)>) {
+            self.inner.l1_copies(block, out);
+            if self.forged == Some(block) {
+                for t in FORGED {
+                    match out.iter_mut().find(|(u, _)| *u == t) {
+                        Some((_, c)) => *c = forged_owner(c.version),
+                        None => {
+                            out.insert(out.partition_point(|(u, _)| *u < t), (t, forged_owner(0)))
+                        }
+                    }
+                }
+            }
+        }
+        fn pending_summary(&self) -> String {
+            self.inner.pending_summary()
+        }
+        fn clone_box(&self) -> Box<dyn CoherenceProtocol> {
+            self.inner.clone_box()
+        }
+        fn save_state(&self, w: &mut SnapWriter) {
+            self.inner.save_state(w)
+        }
+        fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+            self.inner.load_state(r)
+        }
+    }
+
+    /// Runs `random_stress` with both checkers on every message (a
+    /// disagreement panics); returns the panic text of a failed run.
+    fn stress_both_checkers<P: CoherenceProtocol>(
+        h: &mut Harness<P>,
+        seed: u64,
+    ) -> Result<(), String> {
+        h.enable_invariant_checker();
+        h.differential = true;
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            random_stress(h, seed, 40, 24, 0.4)
+        }))
+        .map_err(|e| {
+            e.downcast_ref::<String>().cloned().unwrap_or_else(|| "non-string panic".to_string())
+        })
+    }
+
+    fn chips() -> [(&'static str, ChipSpec); 2] {
+        [("tiny", ChipSpec::tiny()), ("small", ChipSpec::small())]
+    }
+
+    fn agrees<P: CoherenceProtocol>(make: fn(ChipSpec) -> P) {
+        for (chip, spec) in chips() {
+            for seed in [0x5e1, 0x5e2, 0x5e3] {
+                let mut h = Harness::new(make(spec.clone()));
+                let name = h.proto.kind().name();
+                if let Err(e) = stress_both_checkers(&mut h, seed) {
+                    panic!("{name} on the {chip} chip, seed {seed:#x}: {e}");
+                }
+            }
+        }
+    }
+
+    fn catches_second_owner<P: CoherenceProtocol>(make: fn(ChipSpec) -> P) {
+        const AT: u64 = 200;
+        for (chip, spec) in chips() {
+            let mut h = Harness::new(Mutant::new(make(spec), Mutation::SecondOwner, AT));
+            let name = h.proto.kind().name();
+            let e =
+                stress_both_checkers(&mut h, 0x5e1).expect_err("the forged owner went unnoticed");
+            assert!(e.starts_with("invariant violation at cycle"), "{name}/{chip}: {e}");
+            assert!(e.contains("multiple owners [0, 1"), "{name}/{chip}: {e}");
+            // Caught right after the forging message, while the chip was
+            // still busy.
+            assert_eq!(h.proto.handled, AT, "{name}/{chip}");
+            assert!(!h.proto.quiescent(), "{name}/{chip}: caught only at quiescence");
+        }
+    }
+
+    fn catches_hop_overflow<P: CoherenceProtocol>(make: fn(ChipSpec) -> P) {
+        let bound = format!(
+            "exceeded the forwarding bound ({} hops > {MAX_CHASE_HOPS})",
+            MAX_CHASE_HOPS + 1
+        );
+        for (chip, spec) in chips() {
+            let mut h = Harness::new(Mutant::new(make(spec), Mutation::HopOverflow, 100));
+            let name = h.proto.kind().name();
+            let e =
+                stress_both_checkers(&mut h, 0x5e2).expect_err("the overlong chase went unnoticed");
+            assert!(e.starts_with("invariant violation at cycle"), "{name}/{chip}: {e}");
+            assert!(e.contains(&bound), "{name}/{chip}: {e}");
+            assert!(h.proto.overflowed, "{name}/{chip}");
+        }
+    }
+
+    #[test]
+    fn incremental_checker_agrees_with_whole_chip_oracle() {
+        agrees(Directory::new);
+        agrees(DiCo::new);
+        agrees(Providers::new);
+        agrees(Arin::new);
+    }
+
+    #[test]
+    fn both_checkers_catch_a_forged_second_owner_mid_flight() {
+        catches_second_owner(Directory::new);
+        catches_second_owner(DiCo::new);
+        catches_second_owner(Providers::new);
+        catches_second_owner(Arin::new);
+    }
+
+    #[test]
+    fn both_checkers_catch_a_request_over_the_forwarding_bound() {
+        catches_hop_overflow(Directory::new);
+        catches_hop_overflow(DiCo::new);
+        catches_hop_overflow(Providers::new);
+        catches_hop_overflow(Arin::new);
     }
 }

@@ -5,7 +5,7 @@
 
 use cmpsim_engine::{SimRng, SnapError, SnapReader, SnapWriter};
 use cmpsim_protocols::arin::Arin;
-use cmpsim_protocols::checker::{ChipSnapshot, CopyState};
+use cmpsim_protocols::checker::{ChipSnapshot, CopyState, CopyView};
 use cmpsim_protocols::common::{
     AccessOutcome, ChipSpec, CoherenceProtocol, Ctx, Msg, ProtoError, ProtoStats, ProtocolKind,
 };
@@ -245,6 +245,9 @@ impl<P: CoherenceProtocol> CoherenceProtocol for BounceWatch<P> {
     }
     fn snapshot(&self) -> ChipSnapshot {
         self.inner.snapshot()
+    }
+    fn l1_copies(&self, block: u64, out: &mut Vec<(usize, CopyView)>) {
+        self.inner.l1_copies(block, out)
     }
     fn pending_summary(&self) -> String {
         self.inner.pending_summary()
