@@ -224,3 +224,83 @@ fn disabled_by_default() {
     // The registry still works — it publishes from the result itself.
     assert!(!r.metrics().is_empty());
 }
+
+/// FNV-1a 64 over `bytes` (the digest the snapshot-image pins use).
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// Mixed-com under the alternative placement on the 16-tile chip: the
+/// cell with broadcasts, remote-area sharing and cross-VM traffic, so
+/// every observer path is live.
+fn pinned_cell() -> SystemConfig {
+    SystemConfig::small().with_placement(cmpsim::Placement::Alternative)
+}
+
+/// The observer exports themselves are pinned, not just their
+/// run-to-run determinism: trace, breakdown, vmstat and interval series
+/// of one fixed run per protocol with every observer on. A change here
+/// means an observer changed what it records; say why next to the new
+/// digests.
+#[test]
+fn observer_outputs_are_pinned_byte_for_byte() {
+    use cmpsim::report::breakdown_json;
+    let cfg = pinned_cell().with_tracing().with_attribution().with_interval(1_000);
+    let mut got = Vec::new();
+    for kind in ProtocolKind::all() {
+        let r = run_benchmark(kind, Benchmark::MixedCom, &cfg).expect("run");
+        let one = std::slice::from_ref(&r);
+        let exports = [
+            ("trace", r.trace.as_ref().expect("tracing on").to_chrome_json("pin")),
+            ("breakdown", breakdown_json(one)),
+            ("vmstat", cmpsim::vmstat_json(one)),
+            ("series", r.timeseries.as_ref().expect("sampling on").to_csv()),
+        ];
+        for (what, text) in exports {
+            got.push(format!("{}/{what} {} {:016x}", kind.name(), text.len(), fnv1a(text.as_bytes())));
+        }
+    }
+    let want = [
+        "Directory/trace 1030456 0a0c307b7fd94cef",
+        "Directory/breakdown 3587 d3b0710f4704fd63",
+        "Directory/vmstat 7705 a592099395529d33",
+        "Directory/series 5381 6253e1f5564210a9",
+        "DiCo/trace 1163606 cddeb27369169648",
+        "DiCo/breakdown 3522 e0ee5bb4d23aefce",
+        "DiCo/vmstat 7717 f3df50e6d7910fbc",
+        "DiCo/series 5087 dea3ac84b46fd5ba",
+        "DiCo-Providers/trace 1168103 f67be590ebde16d6",
+        "DiCo-Providers/breakdown 3580 549acb173099ff4b",
+        "DiCo-Providers/vmstat 7729 1be51e657dce7c35",
+        "DiCo-Providers/series 5096 151973c5ccbffb5f",
+        "DiCo-Arin/trace 1200743 904606a219b41aee",
+        "DiCo-Arin/breakdown 3548 71e9e1b906277f12",
+        "DiCo-Arin/vmstat 7731 d0519d27e479c8c2",
+        "DiCo-Arin/series 5248 c1e984e4e9254245",
+    ];
+    assert_eq!(got, want, "observer export bytes changed");
+}
+
+/// The tracer and attribution follow the same open misses, but neither
+/// may change what the other records: the trace is the same with
+/// attribution also on, and the breakdown the same with tracing also on.
+#[test]
+fn tracer_and_attribution_are_independent() {
+    use cmpsim::report::breakdown_json;
+    for kind in ProtocolKind::all() {
+        let run = |cfg: SystemConfig| run_benchmark(kind, Benchmark::MixedCom, &cfg).expect("run");
+        let both = run(pinned_cell().with_tracing().with_attribution());
+        let traced = run(pinned_cell().with_tracing());
+        let attributed = run(pinned_cell().with_attribution());
+        assert_eq!(
+            both.trace.as_ref().unwrap().to_chrome_json("x"),
+            traced.trace.as_ref().unwrap().to_chrome_json("x"),
+            "{kind:?}: attribution changed the trace"
+        );
+        assert_eq!(
+            breakdown_json(std::slice::from_ref(&both)),
+            breakdown_json(std::slice::from_ref(&attributed)),
+            "{kind:?}: tracing changed the breakdown"
+        );
+    }
+}
