@@ -414,6 +414,17 @@ mod tests {
         stress(Arin::new, 0xe);
     }
 
+    /// A stale `InvProvider` used to reach a tile that had since become
+    /// the block's owner, fall through to "drop any plain copy" and
+    /// remove the owner line mid-upgrade ("upgrade owner line" panic).
+    /// The seed lies outside Providers' own stress seeds, so it is named
+    /// here rather than in `CASES`.
+    #[test]
+    fn providers_stale_inv_provider_spares_the_owner() {
+        let mut h = Harness::new(Providers::new(ChipSpec::tiny()));
+        random_stress(&mut h, 0x60, 80, 64, 0.3);
+    }
+
     /// How a [`Mutant`] breaks the protocol it wraps.
     #[derive(Clone, Copy, PartialEq, Eq)]
     enum Mutation {

@@ -483,8 +483,12 @@ fn inv_provider(f: &mut Providers, ctx: &mut Ctx, tile: Tile, block: Block, repl
         );
         return;
     }
-    // Drop any plain copy we still hold and report zero cascades.
-    f.l1[tile].remove(block);
+    // Drop any plain copy we still hold and report zero cascades. A
+    // stale `InvProvider` can reach a tile that has since become the
+    // owner (mid-upgrade, say); the owner line is not ours to drop.
+    if !matches!(f.l1[tile].peek(block).map(|l| &l.state), Some(L1State::Owner { .. })) {
+        f.l1[tile].remove(block);
+    }
     if let Some(e) = f.mshr[tile].get_mut(block) {
         if !e.write && !e.have_data {
             e.pending_inv = Some(u64::MAX);
