@@ -29,7 +29,7 @@
 //! span is the fill phase — which is what makes the sum exact by
 //! construction rather than by sampling.
 //!
-//! When VM identity is supplied ([`TxAttribution::with_vms`]), every
+//! When VM identity is supplied (the VM of each tile's core), every
 //! charge above is *additionally* bucketed by the originating VM (the
 //! VM of the requestor core), and the same tiling holds per tenant:
 //! summing any [`VmBucket`] field over all VMs reproduces the chip
@@ -41,15 +41,16 @@
 //! cycles `v`'s transactions lost in invalidation/forward/retry spans
 //! terminating in `a`'s tiles (`stolen_cycles`).
 //!
-//! Like tracing, attribution is observation-only: it never touches the
-//! event queue or the RNG, and simulated timing is bit-identical with
-//! it on or off.
+//! Which open transaction an event belongs to is the rule the tracer
+//! shares, kept once in [`crate::observe`]. Like tracing, attribution is
+//! observation-only: it never touches the event queue or the RNG, and
+//! simulated timing is bit-identical with it on or off.
 
+use crate::observe::{OpenMiss, Span};
 use cmpsim_engine::phase::{EventCounts, Phase, PhaseCycles, PHASES};
 use cmpsim_engine::stats::Log2Hist;
 use cmpsim_engine::Cycle;
-use cmpsim_protocols::common::{Block, BlockReason, MsgKind, Node, Tile};
-use std::collections::BTreeMap;
+use cmpsim_protocols::common::{BlockReason, MsgKind, Node, Tile};
 
 /// Critical-path classification of one network message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -209,13 +210,9 @@ fn sweep(
     (pc, loc)
 }
 
-/// One open (issued, not yet completed) transaction.
+/// Attribution's payload of one open transaction.
 #[derive(Debug, Clone)]
 struct OpenAttr {
-    block: Block,
-    write: bool,
-    issued: Cycle,
-    requestor: Tile,
     events: Vec<AttrEvent>,
     counts: EventCounts,
     /// The missed block is backed by a deduplicated (inter-VM shared)
@@ -287,17 +284,12 @@ impl MatrixCell {
     }
 }
 
-/// The per-transaction attribution tracker. Owned by the simulator;
-/// only present when attribution is enabled, so the disabled hot path
-/// is a single `Option` test per hook.
+/// The per-transaction attribution tracker, one part of the
+/// simulator's [`crate::observe`] layer.
 #[derive(Debug, Clone)]
-pub struct TxAttribution {
-    /// The open transaction of each tile (one outstanding miss per
-    /// core, so tile indexes the open set exactly).
+pub(crate) struct TxAttribution {
+    /// The open transaction of each tile.
     open: Vec<Option<OpenAttr>>,
-    /// Tiles with an open transaction on a block, oldest first — the
-    /// attribution order (identical to the tracer's rule).
-    by_block: BTreeMap<Block, Vec<Tile>>,
     /// Per-phase per-transaction distributions (one sample per
     /// completed transaction per phase, zeros included, so every hist
     /// count equals `completed`).
@@ -333,21 +325,14 @@ pub struct TxAttribution {
 }
 
 impl TxAttribution {
-    /// Creates a tracker for a `tiles`-tile chip without tenant
-    /// identity (everything lands in a single VM-0 bucket).
-    pub fn new(tiles: usize) -> Self {
-        Self::with_vms(vec![0; tiles], 1)
-    }
-
-    /// Creates a tracker with tenant identity: `vm_of[tile]` is the VM
-    /// the core on `tile` belongs to, each `< num_vms`.
-    pub fn with_vms(vm_of: Vec<usize>, num_vms: usize) -> Self {
+    /// Creates a tracker: `vm_of[tile]` is the VM the core on `tile`
+    /// belongs to, each `< num_vms` (all zeros without tenant identity).
+    pub(crate) fn new(vm_of: Vec<usize>, num_vms: usize) -> Self {
         let tiles = vm_of.len();
         let num_vms = num_vms.max(1);
         debug_assert!(vm_of.iter().all(|&v| v < num_vms), "vm_of out of range");
         Self {
             open: vec![None; tiles],
-            by_block: BTreeMap::new(),
             hists: (0..PHASES).map(|_| Log2Hist::new()).collect(),
             totals: PhaseCycles::default(),
             completed: 0,
@@ -365,94 +350,63 @@ impl TxAttribution {
         }
     }
 
-    /// Opens a transaction for the L1 miss issuing at `now` on `tile`.
-    /// `dedup` marks a miss on a deduplicated (inter-VM shared) block.
-    pub fn on_issue(&mut self, now: Cycle, tile: Tile, block: Block, write: bool, dedup: bool) {
-        if let Some(stale) = self.open[tile].take() {
-            self.unlink(stale.block, tile);
-        }
-        self.open[tile] = Some(OpenAttr {
-            block,
-            write,
-            issued: now,
-            requestor: tile,
-            events: Vec::new(),
-            counts: EventCounts::default(),
-            dedup,
-        });
-        self.by_block.entry(block).or_default().push(tile);
+    /// Opens a transaction for the L1 miss issuing on `tile`. `dedup`
+    /// marks a miss on a deduplicated (inter-VM shared) block.
+    pub(crate) fn on_issue(&mut self, tile: Tile, dedup: bool) {
+        self.open[tile] =
+            Some(OpenAttr { events: Vec::new(), counts: EventCounts::default(), dedup });
     }
 
-    fn owner_of(&mut self, block: Block) -> Option<&mut OpenAttr> {
-        let tile = *self.by_block.get(&block)?.first()?;
-        self.open[tile].as_mut()
-    }
-
-    /// Records one network message span on `block`, charging its NoC
-    /// energy events (`links` routings, `links * flits` flit-links) the
-    /// same way the mesh counts them, plus one interference-matrix cell
-    /// (aggressor = the VM of the owning transaction's requestor, or of
-    /// `src`'s tile for untracked traffic; victim = the VM of `dst`'s
-    /// tile). `dedup` marks traffic on an inter-VM shared block.
-    #[allow(clippy::too_many_arguments)]
-    pub fn on_message(
-        &mut self,
-        depart: Cycle,
-        arrival: Cycle,
-        class: MsgClass,
-        block: Block,
-        src: Node,
-        dst: Node,
-        links: u64,
-        flits: u64,
-        dedup: bool,
-    ) {
-        let noc = EventCounts { routing: links, flit_links: links * flits, ..Default::default() };
-        let owner_tile = self.by_block.get(&block).and_then(|tiles| tiles.first().copied());
-        let tx = match owner_tile {
-            Some(t) => self.open[t].as_mut(),
-            None => None,
-        };
-        let aggressor = match tx {
-            Some(tx) => {
+    /// Records one network message span, charging its NoC energy events
+    /// (`links` routings, `links * flits` flit-links) the same way the
+    /// mesh counts them to the transaction open on `owner`, plus one
+    /// interference-matrix cell (aggressor = the VM of `owner`, or of the
+    /// source tile for untracked traffic; victim = the VM of the
+    /// destination tile).
+    pub(crate) fn on_message(&mut self, owner: Option<Tile>, span: &Span) {
+        let links = span.links;
+        let noc =
+            EventCounts { routing: links, flit_links: links * span.flits, ..Default::default() };
+        let aggressor = match owner.and_then(|t| Some((t, self.open[t].as_mut()?))) {
+            Some((tile, tx)) => {
                 tx.events.push(AttrEvent {
-                    depart,
-                    arrival,
-                    class,
-                    dst_l1: matches!(dst, Node::L1(_)),
-                    dst_tile: dst.tile(),
+                    depart: span.depart,
+                    arrival: span.arrival,
+                    class: span.class,
+                    dst_l1: matches!(span.dst, Node::L1(_)),
+                    dst_tile: span.dst.tile(),
                 });
                 tx.counts.merge(&noc);
-                tx.dedup |= dedup;
-                self.vm_of[tx.requestor]
+                tx.dedup |= span.dedup;
+                self.vm_of[tile]
             }
             None => {
                 self.untracked_counts.merge(&noc);
-                self.vm_of[src.tile()]
+                self.vm_of[span.src.tile()]
             }
         };
-        let victim = self.vm_of[dst.tile()];
+        let victim = self.vm_of[span.dst.tile()];
         let cell = &mut self.matrix[aggressor * self.num_vms + victim];
         cell.msgs += 1;
-        match class {
+        match span.class {
             MsgClass::Inv => cell.inv_msgs += 1,
             MsgClass::Forward => cell.fwd_msgs += 1,
             _ => {}
         }
-        if dedup {
+        if span.dedup {
             cell.dedup_msgs += 1;
         }
         cell.routing += links;
-        cell.flit_links += links * flits;
+        cell.flit_links += noc.flit_links;
     }
 
     /// Charges a cache-side energy-event delta (the counter movement of
-    /// one protocol dispatch) to the transaction open on `block`.
-    pub fn on_cache_events(&mut self, block: Block, delta: EventCounts) {
+    /// one protocol dispatch) to the transaction open on `owner`.
+    pub(crate) fn on_cache_events(&mut self, owner: Option<Tile>, delta: EventCounts) {
         if delta.is_zero() {
             return;
         }
-        if let Some(tx) = self.owner_of(block) {
+        if let Some(tx) = owner.and_then(|t| self.open[t].as_mut()) {
             tx.counts.merge(&delta);
         } else {
             self.untracked_counts.merge(&delta);
@@ -461,7 +415,7 @@ impl TxAttribution {
 
     /// Records a blocked (pre-issue) core retry of `cycles` cycles on
     /// `tile`'s core.
-    pub fn on_blocked(&mut self, reason: BlockReason, cycles: u64, tile: Tile) {
+    pub(crate) fn on_blocked(&mut self, reason: BlockReason, cycles: u64, tile: Tile) {
         let vm = &mut self.vm[self.vm_of[tile]];
         match reason {
             BlockReason::MshrConflict => {
@@ -475,21 +429,19 @@ impl TxAttribution {
         }
     }
 
-    /// Completes the transaction open on `tile` at `now`: runs the
-    /// sweep and folds the result into the chip, VM, tile, and matrix
-    /// aggregates.
-    pub fn on_completion(&mut self, now: Cycle, tile: Tile) {
+    /// Completes `miss`, open on `tile`, at `now`: runs the sweep and
+    /// folds the result into the chip, VM, tile, and matrix aggregates.
+    pub(crate) fn on_completion(&mut self, now: Cycle, tile: Tile, miss: &OpenMiss) {
         let Some(mut tx) = self.open[tile].take() else {
             return;
         };
-        self.unlink(tx.block, tile);
-        let latency = now.saturating_sub(tx.issued);
-        let req_vm = self.vm_of[tx.requestor];
+        let latency = now.saturating_sub(miss.issued);
+        let req_vm = self.vm_of[tile];
         let num_vms = self.num_vms;
         let vm_of = &self.vm_of;
         let matrix = &mut self.matrix;
         let mut stolen = 0u64;
-        let (phases, _) = sweep(tx.issued, tx.requestor, &mut tx.events, now, |e, cycles| {
+        let (phases, _) = sweep(miss.issued, tile, &mut tx.events, now, |e, cycles| {
             // Cross-VM critical-path theft: inv/forward/retry spans of
             // this (victim) transaction ending in another VM's tiles.
             let dst_vm = vm_of[e.dst_tile];
@@ -510,7 +462,7 @@ impl TxAttribution {
             self.reconciled += 1;
         }
         self.tx_counts.merge(&tx.counts);
-        self.tile_counts[tx.requestor].merge(&tx.counts);
+        self.tile_counts[tile].merge(&tx.counts);
         let vm = &mut self.vm[req_vm];
         vm.completed += 1;
         vm.latency_cycles += latency;
@@ -524,23 +476,12 @@ impl TxAttribution {
         }
     }
 
-    fn unlink(&mut self, block: Block, tile: Tile) {
-        if let Some(tiles) = self.by_block.get_mut(&block) {
-            if let Some(i) = tiles.iter().position(|&t| t == tile) {
-                tiles.remove(i);
-            }
-            if tiles.is_empty() {
-                self.by_block.remove(&block);
-            }
-        }
-    }
-
     /// Warm-up reset: zeroes every aggregate (mirroring the proto/NoC
     /// stats resets) and the open transactions' energy counts, but
     /// keeps their recorded spans — a straddling miss still reports its
     /// full issue-to-completion decomposition, exactly matching the
     /// full latency the protocol records for it.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.hists = (0..PHASES).map(|_| Log2Hist::new()).collect();
         self.totals = PhaseCycles::default();
         self.completed = 0;
@@ -559,21 +500,28 @@ impl TxAttribution {
     }
 
     /// Completed-transaction phase totals so far (interval sampling).
-    pub fn phase_totals(&self) -> PhaseCycles {
+    pub(crate) fn phase_totals(&self) -> PhaseCycles {
         self.totals
     }
 
     /// Renders up to `n` open transactions' phase timelines at `now`
     /// (for watchdog stall dumps): where each in-flight miss is stuck.
-    pub fn stall_lines(&self, now: Cycle, n: usize) -> Vec<String> {
-        self.open
+    /// `misses[tile]` is the miss open on `tile`.
+    pub(crate) fn stall_lines(
+        &self,
+        now: Cycle,
+        n: usize,
+        misses: &[Option<OpenMiss>],
+    ) -> Vec<String> {
+        misses
             .iter()
+            .zip(&self.open)
             .enumerate()
-            .filter_map(|(tile, o)| o.as_ref().map(|tx| (tile, tx)))
+            .filter_map(|(tile, (m, tx))| Some((tile, m.as_ref()?, tx.as_ref()?)))
             .take(n)
-            .map(|(tile, tx)| {
+            .map(|(tile, miss, tx)| {
                 let mut events = tx.events.clone();
-                let (phases, loc) = sweep(tx.issued, tx.requestor, &mut events, now, |_, _| {});
+                let (phases, loc) = sweep(miss.issued, tile, &mut events, now, |_, _| {});
                 let parts: Vec<String> = phases
                     .iter()
                     .filter(|&(_, c)| c > 0)
@@ -581,10 +529,10 @@ impl TxAttribution {
                     .collect();
                 format!(
                     "tile {tile} block {:#x} {} issued@{} age={}: {} (in {})",
-                    tx.block,
-                    if tx.write { "store" } else { "load" },
-                    tx.issued,
-                    now.saturating_sub(tx.issued),
+                    miss.block,
+                    if miss.write { "store" } else { "load" },
+                    miss.issued,
+                    now.saturating_sub(miss.issued),
                     if parts.is_empty() { "-".to_string() } else { parts.join(" ") },
                     gap_phase(loc).key(),
                 )
@@ -595,14 +543,16 @@ impl TxAttribution {
     /// Finalizes into the exportable log. Counts of transactions still
     /// open (none after a clean drain) land in `open_counts` so the
     /// energy tiling stays integer-exact regardless.
-    pub fn finish(self) -> BreakdownLog {
+    pub(crate) fn finish(self) -> BreakdownLog {
         let mut open_counts = EventCounts::default();
         let mut open_txs = 0;
         let mut vm = self.vm;
-        for tx in self.open.iter().flatten() {
-            open_counts.merge(&tx.counts);
-            open_txs += 1;
-            vm[self.vm_of[tx.requestor]].open_txs += 1;
+        for (tile, tx) in self.open.iter().enumerate() {
+            if let Some(tx) = tx {
+                open_counts.merge(&tx.counts);
+                open_txs += 1;
+                vm[self.vm_of[tile]].open_txs += 1;
+            }
         }
         BreakdownLog {
             hists: self.hists,
@@ -743,7 +693,49 @@ impl BreakdownLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cmpsim_protocols::common::ReqInfo;
+    use crate::observe::Observers;
+    use cmpsim_protocols::common::{Block, ReqInfo};
+
+    fn attr(tiles: usize) -> Observers {
+        with_vms(vec![0; tiles], 1)
+    }
+
+    fn with_vms(vm_of: Vec<usize>, num_vms: usize) -> Observers {
+        Observers::with_parts(vm_of.len(), None, Some(TxAttribution::new(vm_of, num_vms)))
+    }
+
+    fn finish(o: Observers) -> BreakdownLog {
+        o.finish().1.expect("attribution on")
+    }
+
+    /// Hands `o` one message span.
+    #[allow(clippy::too_many_arguments)]
+    fn msg(
+        o: &mut Observers,
+        depart: Cycle,
+        arrival: Cycle,
+        class: MsgClass,
+        block: Block,
+        src: Node,
+        dst: Node,
+        links: u64,
+        flits: u64,
+        dedup: bool,
+    ) {
+        o.on_message(&Span {
+            depart,
+            arrival,
+            label: "Msg",
+            cat: "msg",
+            class,
+            block,
+            src,
+            dst,
+            links,
+            flits,
+            dedup,
+        });
+    }
 
     fn req(requestor: Tile) -> MsgKind {
         MsgKind::Req(ReqInfo {
@@ -773,12 +765,12 @@ mod tests {
     /// 25..40, completion at 43. Phases must tile [10, 43] exactly.
     #[test]
     fn sweep_tiles_simple_miss() {
-        let mut a = TxAttribution::new(4);
+        let mut a = attr(4);
         a.on_issue(10, 1, 0x40, false, false);
-        a.on_message(10, 20, MsgClass::Request, 0x40, Node::L1(1), Node::L2(2), 3, 1, false);
-        a.on_message(25, 40, MsgClass::Data, 0x40, Node::L2(2), Node::L1(1), 3, 5, false);
+        msg(&mut a, 10, 20, MsgClass::Request, 0x40, Node::L1(1), Node::L2(2), 3, 1, false);
+        msg(&mut a, 25, 40, MsgClass::Data, 0x40, Node::L2(2), Node::L1(1), 3, 5, false);
         a.on_completion(43, 1);
-        let log = a.finish();
+        let log = finish(a);
         assert_eq!(log.completed, 1);
         assert_eq!(log.reconciled, 1);
         assert_eq!(log.latency_cycles, 33);
@@ -796,15 +788,15 @@ mod tests {
     /// queueing + DRAM gap between them charges the memory phase.
     #[test]
     fn sweep_charges_memory_gap() {
-        let mut a = TxAttribution::new(4);
+        let mut a = attr(4);
         a.on_issue(0, 0, 0x80, true, false);
-        a.on_message(0, 10, MsgClass::Request, 0x80, Node::L1(0), Node::L2(3), 2, 1, false);
-        a.on_message(12, 20, MsgClass::MemRead, 0x80, Node::L2(3), Node::L2(3), 4, 1, false);
+        msg(&mut a, 0, 10, MsgClass::Request, 0x80, Node::L1(0), Node::L2(3), 2, 1, false);
+        msg(&mut a, 12, 20, MsgClass::MemRead, 0x80, Node::L2(3), Node::L2(3), 4, 1, false);
         // DRAM: 20..320 is a gap at the controller.
-        a.on_message(320, 330, MsgClass::MemData, 0x80, Node::L2(3), Node::L2(3), 4, 5, false);
-        a.on_message(335, 350, MsgClass::Data, 0x80, Node::L2(3), Node::L1(0), 5, 5, false);
+        msg(&mut a, 320, 330, MsgClass::MemData, 0x80, Node::L2(3), Node::L2(3), 4, 5, false);
+        msg(&mut a, 335, 350, MsgClass::Data, 0x80, Node::L2(3), Node::L1(0), 5, 5, false);
         a.on_completion(352, 0);
-        let log = a.finish();
+        let log = finish(a);
         assert_eq!(log.reconciled, 1);
         assert_eq!(log.phase_cycles.total(), 352);
         // Memory = MemRead span (8) + DRAM gap (300) + MemData span (10).
@@ -818,12 +810,12 @@ mod tests {
     /// clamped; the sum still tiles exactly.
     #[test]
     fn sweep_clamps_to_completion() {
-        let mut a = TxAttribution::new(2);
+        let mut a = attr(2);
         a.on_issue(100, 0, 0x10, false, false);
-        a.on_message(100, 110, MsgClass::Request, 0x10, Node::L1(0), Node::L2(1), 2, 1, false);
-        a.on_message(110, 500, MsgClass::Inv, 0x10, Node::L2(1), Node::L1(1), 2, 1, false);
+        msg(&mut a, 100, 110, MsgClass::Request, 0x10, Node::L1(0), Node::L2(1), 2, 1, false);
+        msg(&mut a, 110, 500, MsgClass::Inv, 0x10, Node::L2(1), Node::L1(1), 2, 1, false);
         a.on_completion(130, 0);
-        let log = a.finish();
+        let log = finish(a);
         assert_eq!(log.reconciled, 1);
         assert_eq!(log.phase_cycles.total(), 30);
         assert_eq!(log.phase_cycles.get(Phase::Inv), 20);
@@ -831,10 +823,10 @@ mod tests {
 
     #[test]
     fn untracked_traffic_lands_in_background_bucket() {
-        let mut a = TxAttribution::new(2);
-        a.on_message(5, 9, MsgClass::Control, 0x99, Node::L2(1), Node::L2(0), 2, 1, false);
+        let mut a = attr(2);
+        msg(&mut a, 5, 9, MsgClass::Control, 0x99, Node::L2(1), Node::L2(0), 2, 1, false);
         a.on_cache_events(0x99, EventCounts { l2_tag: 1, ..Default::default() });
-        let log = a.finish();
+        let log = finish(a);
         assert_eq!(log.untracked_counts.routing, 2);
         assert_eq!(log.untracked_counts.l2_tag, 1);
         assert!(log.tx_counts.is_zero());
@@ -843,11 +835,11 @@ mod tests {
 
     #[test]
     fn blocked_waits_split_by_reason() {
-        let mut a = TxAttribution::new(1);
+        let mut a = attr(1);
         a.on_blocked(BlockReason::MshrConflict, 7, 0);
         a.on_blocked(BlockReason::MshrConflict, 7, 0);
         a.on_blocked(BlockReason::BusyBlock, 7, 0);
-        let log = a.finish();
+        let log = finish(a);
         assert_eq!(log.mshr_wait_cycles, 14);
         assert_eq!(log.retry_wait_cycles, 7);
     }
@@ -856,13 +848,13 @@ mod tests {
     /// decomposition survives) but zeroes its energy counts.
     #[test]
     fn reset_keeps_spans_zeroes_counts() {
-        let mut a = TxAttribution::new(2);
+        let mut a = attr(2);
         a.on_issue(0, 0, 0x40, false, false);
-        a.on_message(0, 10, MsgClass::Request, 0x40, Node::L1(0), Node::L2(1), 3, 1, false);
+        msg(&mut a, 0, 10, MsgClass::Request, 0x40, Node::L1(0), Node::L2(1), 3, 1, false);
         a.reset();
-        a.on_message(12, 30, MsgClass::Data, 0x40, Node::L2(1), Node::L1(0), 3, 5, false);
+        msg(&mut a, 12, 30, MsgClass::Data, 0x40, Node::L2(1), Node::L1(0), 3, 5, false);
         a.on_completion(32, 0);
-        let log = a.finish();
+        let log = finish(a);
         assert_eq!(log.completed, 1);
         assert_eq!(log.reconciled, 1);
         // Full latency decomposed, including the pre-reset request span.
@@ -874,12 +866,12 @@ mod tests {
 
     #[test]
     fn hists_record_one_sample_per_phase_per_tx() {
-        let mut a = TxAttribution::new(2);
+        let mut a = attr(2);
         a.on_issue(0, 0, 0x40, false, false);
         a.on_completion(8, 0);
         a.on_issue(10, 1, 0x80, true, false);
         a.on_completion(30, 1);
-        let log = a.finish();
+        let log = finish(a);
         for p in Phase::all() {
             assert_eq!(log.phase_hist(p).summary().count(), 2, "{p:?}");
         }
@@ -889,11 +881,11 @@ mod tests {
 
     #[test]
     fn stall_lines_show_current_phase() {
-        let mut a = TxAttribution::new(4);
+        let mut a = attr(4);
         a.on_issue(10, 2, 0x40, true, false);
-        a.on_message(10, 20, MsgClass::Request, 0x40, Node::L1(2), Node::L2(3), 2, 1, false);
-        a.on_message(22, 30, MsgClass::MemRead, 0x40, Node::L2(3), Node::L2(3), 2, 1, false);
-        let lines = a.stall_lines(500, 8);
+        msg(&mut a, 10, 20, MsgClass::Request, 0x40, Node::L1(2), Node::L2(3), 2, 1, false);
+        msg(&mut a, 22, 30, MsgClass::MemRead, 0x40, Node::L2(3), Node::L2(3), 2, 1, false);
+        let lines = a.stall_lines(500).1;
         assert_eq!(lines.len(), 1);
         assert!(lines[0].contains("tile 2"), "{}", lines[0]);
         assert!(lines[0].contains("store"), "{}", lines[0]);
@@ -905,19 +897,19 @@ mod tests {
     /// cross-VM.
     #[test]
     fn vm_buckets_tile_chip_aggregates() {
-        let mut a = TxAttribution::with_vms(vec![0, 0, 1, 1], 2);
+        let mut a = with_vms(vec![0, 0, 1, 1], 2);
         // VM 0, tile 0: private-block miss.
         a.on_issue(0, 0, 0x40, false, false);
-        a.on_message(0, 10, MsgClass::Request, 0x40, Node::L1(0), Node::L2(1), 2, 1, false);
-        a.on_message(12, 20, MsgClass::Data, 0x40, Node::L2(1), Node::L1(0), 2, 5, false);
+        msg(&mut a, 0, 10, MsgClass::Request, 0x40, Node::L1(0), Node::L2(1), 2, 1, false);
+        msg(&mut a, 12, 20, MsgClass::Data, 0x40, Node::L2(1), Node::L1(0), 2, 5, false);
         a.on_completion(22, 0);
         // VM 1, tile 2: dedup-backed miss.
         a.on_issue(30, 2, 0x80, true, true);
-        a.on_message(30, 40, MsgClass::Request, 0x80, Node::L1(2), Node::L2(3), 1, 1, true);
-        a.on_message(42, 50, MsgClass::Data, 0x80, Node::L2(3), Node::L1(2), 1, 5, true);
+        msg(&mut a, 30, 40, MsgClass::Request, 0x80, Node::L1(2), Node::L2(3), 1, 1, true);
+        msg(&mut a, 42, 50, MsgClass::Data, 0x80, Node::L2(3), Node::L1(2), 1, 5, true);
         a.on_completion(51, 2);
         a.on_blocked(BlockReason::MshrConflict, 5, 3);
-        let log = a.finish();
+        let log = finish(a);
 
         assert_eq!(log.vm.len(), 2);
         assert_eq!(log.vm.iter().map(|v| v.completed).sum::<u64>(), log.completed);
@@ -950,14 +942,14 @@ mod tests {
     /// in, as aggressor over the requestor VM.
     #[test]
     fn matrix_charges_aggressor_to_victim() {
-        let mut a = TxAttribution::with_vms(vec![0, 0, 1, 1], 2);
+        let mut a = with_vms(vec![0, 0, 1, 1], 2);
         a.on_issue(0, 0, 0xC0, true, true);
-        a.on_message(0, 10, MsgClass::Request, 0xC0, Node::L1(0), Node::L2(1), 2, 1, true);
+        msg(&mut a, 0, 10, MsgClass::Request, 0xC0, Node::L1(0), Node::L2(1), 2, 1, true);
         // Invalidation into VM 1's tile 2: 10..30 on the critical path.
-        a.on_message(10, 30, MsgClass::Inv, 0xC0, Node::L2(1), Node::L1(2), 3, 1, true);
-        a.on_message(30, 40, MsgClass::Data, 0xC0, Node::L2(1), Node::L1(0), 2, 5, true);
+        msg(&mut a, 10, 30, MsgClass::Inv, 0xC0, Node::L2(1), Node::L1(2), 3, 1, true);
+        msg(&mut a, 30, 40, MsgClass::Data, 0xC0, Node::L2(1), Node::L1(0), 2, 5, true);
         a.on_completion(42, 0);
-        let log = a.finish();
+        let log = finish(a);
 
         // Message accounting: VM 0's tx into VM 0 tiles (request + data)
         // and into VM 1's tile (the inv).
@@ -974,19 +966,19 @@ mod tests {
         let matrix_routing: u64 = log.matrix.iter().map(|c| c.routing).sum();
         assert_eq!(matrix_routing, log.total_counts().routing);
         // Untracked traffic still lands in a cell (src tile's VM).
-        a = TxAttribution::with_vms(vec![0, 0, 1, 1], 2);
-        a.on_message(5, 9, MsgClass::Control, 0x99, Node::L2(2), Node::L2(0), 2, 1, false);
-        let log = a.finish();
+        a = with_vms(vec![0, 0, 1, 1], 2);
+        msg(&mut a, 5, 9, MsgClass::Control, 0x99, Node::L2(2), Node::L2(0), 2, 1, false);
+        let log = finish(a);
         assert_eq!(log.matrix_cell(1, 0).msgs, 1);
     }
 
     #[test]
     fn publish_exports_counters_and_hists() {
-        let mut a = TxAttribution::new(2);
+        let mut a = attr(2);
         a.on_issue(0, 0, 0x40, false, false);
-        a.on_message(0, 10, MsgClass::Request, 0x40, Node::L1(0), Node::L2(1), 3, 1, false);
+        msg(&mut a, 0, 10, MsgClass::Request, 0x40, Node::L1(0), Node::L2(1), 3, 1, false);
         a.on_completion(12, 0);
-        let log = a.finish();
+        let log = finish(a);
         let mut reg = cmpsim_engine::MetricsRegistry::new();
         log.publish("attr", &mut reg);
         let counters: std::collections::BTreeMap<_, _> = reg.counters().collect();

@@ -68,6 +68,7 @@ pub mod config;
 pub mod error;
 pub mod interval;
 pub mod manifest;
+mod observe;
 pub mod orchestrator;
 pub mod progress;
 pub mod replay;
@@ -78,7 +79,7 @@ pub mod snapshot;
 pub mod trace;
 pub mod vmstat;
 
-pub use attr::{BreakdownLog, TxAttribution};
+pub use attr::BreakdownLog;
 pub use chaos::{
     chaos_sweep, chaos_sweep_with_options, chaos_sweep_with_progress, run_differential,
     CellOutcome, ChaosCell, ChaosReport, DiffOutcome,
@@ -100,7 +101,7 @@ pub use sim::{
     run_matrix_with_progress, snapshot_eligible, CmpSimulator,
 };
 pub use snapshot::{snapshot_key, SnapshotError, SnapshotStore, SNAPSHOT_VERSION};
-pub use trace::{TraceLog, TxTracer};
+pub use trace::TraceLog;
 pub use vmstat::{ascii_heatmap, heatmap_csv, heatmap_json, vmstat_json, vmstat_tables};
 
 // Re-export the registry types so downstream binaries need not depend

@@ -1,21 +1,21 @@
 //! The whole-chip simulator: cores, NoC, memory controllers and one
 //! coherence protocol, driven by a deterministic event loop.
 
-use crate::attr::{classify, MsgClass, TxAttribution};
+use crate::attr::{classify, MsgClass};
 use crate::config::SystemConfig;
 use crate::error::{
     CoreStallState, FaultAbort, FaultContext, HotBlock, InFlightMsg, InvariantReport,
     ProtocolFault, SimError, StallReason, StallReport, TimeoutReport,
 };
 use crate::interval::{CumSnapshot, IntervalSampler};
+use crate::observe::{cache_delta, Observers, Span};
 use crate::replay::ReplayArtifact;
 use crate::result::{ArchState, RunResult, SpatialLog};
-use crate::trace::TxTracer;
 use crate::snapshot::{self, SnapshotError, SnapshotStore};
 use cmpsim_engine::par::{num_threads, par_map_with_threads};
 use cmpsim_engine::rng::splitmix64;
 use cmpsim_engine::{
-    Cycle, EventCounts, EventQueue, FaultDecision, FaultEngine, FaultPlan, FxHashMap, FxHashSet,
+    Cycle, EventQueue, FaultDecision, FaultEngine, FaultPlan, FxHashMap, FxHashSet,
     HostProfiler, SimRng, Snap, SnapError, SnapReader, SnapWriter, WallDeadline,
 };
 use cmpsim_noc::Mesh;
@@ -27,7 +27,7 @@ use cmpsim_protocols::common::{
 use cmpsim_protocols::dico::DiCo;
 use cmpsim_protocols::directory::Directory;
 use cmpsim_protocols::providers::Providers;
-use cmpsim_protocols::{ProtoStats, ProtocolKind};
+use cmpsim_protocols::ProtocolKind;
 use cmpsim_virt::mem::{LogicalPage, PageKind, BLOCKS_PER_PAGE};
 use cmpsim_virt::MachineMemory;
 use cmpsim_workloads::{Benchmark, CoreStream};
@@ -207,23 +207,8 @@ cmpsim_engine::impl_snap!(FaultState {
     violation,
 });
 
-/// The cache-structure counters attribution charges per dispatch, in
-/// [`EventCounts`] field order (the two network counters are charged
-/// per message instead).
-fn cache_counts(ps: &ProtoStats) -> [u64; 7] {
-    [
-        ps.l1_tag.get(),
-        ps.l1_data_read.get() + ps.l1_data_write.get(),
-        ps.l2_tag.get(),
-        ps.l2_data_read.get() + ps.l2_data_write.get(),
-        ps.dir_access.get(),
-        ps.l1c_access.get(),
-        ps.l2c_access.get(),
-    ]
-}
-
 /// True when `block` is backed by a deduplicated (inter-VM shared)
-/// page. Only consulted when attribution is on — a map lookup per
+/// page. Only consulted when an observer is on — a map lookup per
 /// observed message, never on the timing path.
 fn is_dedup_block(memory: &MachineMemory, block: Block) -> bool {
     matches!(memory.kind_of_block(block), Some(PageKind::Deduplicated))
@@ -279,11 +264,9 @@ pub struct CmpSimulator {
     refs_total: u64,
     /// Per-message invariant checker (from `cfg.check_invariants`).
     checker: Option<StepChecker>,
-    /// Coherence-transaction tracer (from `cfg.tracing`).
-    tracer: Option<TxTracer>,
-    /// Per-transaction critical-path and energy attribution (from
-    /// `cfg.attribution`).
-    attr: Option<TxAttribution>,
+    /// Transaction tracer and attribution over one open-miss index
+    /// (from `cfg.tracing` / `cfg.attribution`).
+    obs: Option<Observers>,
     /// Interval time-series sampler; created when the warm-up window
     /// ends (from `cfg.sample_interval`).
     sampler: Option<IntervalSampler>,
@@ -357,8 +340,7 @@ impl CmpSimulator {
             last_progress: 0,
             refs_total: 0,
             checker: cfg.check_invariants.then(StepChecker::new),
-            tracer: cfg.tracing.then(|| TxTracer::new(tiles, cfg.trace_capacity)),
-            attr: cfg.attribution.then(|| TxAttribution::with_vms(vm_of, cfg.num_vms)),
+            obs: Observers::new(cfg, vm_of),
             sampler: None,
             energy_model: None,
             faults: cfg.fault_plan.clone().map(|p| FaultState::new(p, tiles)),
@@ -369,8 +351,11 @@ impl CmpSimulator {
     }
 
     /// Turns on the per-message invariant checker regardless of the
-    /// configuration flag (used by `cmpsim-cli replay --check`).
+    /// configuration flag (used by `cmpsim-cli replay --check`). The
+    /// simulator's own config records it, so [`snapshot_eligible`]
+    /// keeps describing the observers it runs.
     pub fn enable_invariant_checker(&mut self) {
+        self.cfg.check_invariants = true;
         if self.checker.is_none() {
             self.checker = Some(StepChecker::new());
         }
@@ -384,32 +369,19 @@ impl CmpSimulator {
         }
     }
 
-    /// Snapshot of the cache-structure counters before a protocol
-    /// dispatch. Paired with [`Self::attr_record_cache_delta`] around
-    /// every `core_access` / `handle` call so each dispatch's energy
-    /// events charge to the transaction that caused them. Callers skip
-    /// both calls entirely when attribution is off.
-    fn attr_cache_base(&self) -> [u64; 7] {
-        cache_counts(self.proto.stats())
+    /// The cache counters before a protocol dispatch, when attribution
+    /// is on. Paired with [`Self::record_cache_delta`] around every
+    /// `core_access` / `handle` call so each dispatch's energy events
+    /// charge to the transaction that caused them.
+    fn cache_base(&self) -> Option<[u64; 7]> {
+        self.obs.as_ref().and_then(|o| o.cache_base(self.proto.stats()))
     }
 
     /// Charges the cache-counter delta since `base` to the transaction
     /// open on `block` (or the untracked bucket when none is).
-    fn attr_record_cache_delta(&mut self, block: Block, base: [u64; 7]) {
-        let cur = cache_counts(self.proto.stats());
-        if let Some(a) = &mut self.attr {
-            let delta = EventCounts {
-                l1_tag: cur[0] - base[0],
-                l1_data: cur[1] - base[1],
-                l2_tag: cur[2] - base[2],
-                l2_data: cur[3] - base[3],
-                dir: cur[4] - base[4],
-                l1c: cur[5] - base[5],
-                l2c: cur[6] - base[6],
-                routing: 0,
-                flit_links: 0,
-            };
-            a.on_cache_events(block, delta);
+    fn record_cache_delta(&mut self, block: Block, base: Option<[u64; 7]>) {
+        if let (Some(base), Some(obs)) = (base, &mut self.obs) {
+            obs.on_cache_events(block, cache_delta(base, self.proto.stats()));
         }
     }
 
@@ -492,68 +464,44 @@ impl CmpSimulator {
         for out in std::mem::take(&mut ctx.sends) {
             let flits = self.flits(&out.msg.kind);
             let d = self.mesh.send(now + out.delay, out.msg.src.tile(), out.msg.dst.tile(), flits);
-            if let Some(tr) = &mut self.tracer {
-                tr.on_message(
-                    now + out.delay,
-                    d.arrival,
-                    out.msg.kind.label(),
-                    "msg",
-                    out.msg.block,
-                    out.msg.src.tile(),
-                    out.msg.dst.tile(),
-                    d.links,
-                );
-            }
-            if let Some(a) = &mut self.attr {
-                a.on_message(
-                    now + out.delay,
-                    d.arrival,
-                    classify(&out.msg.kind, out.msg.src),
-                    out.msg.block,
-                    out.msg.src,
-                    out.msg.dst,
-                    d.links,
+            if let Some(obs) = &mut self.obs {
+                let m = &out.msg;
+                obs.on_message(&Span {
+                    depart: now + out.delay,
+                    arrival: d.arrival,
+                    label: m.kind.label(),
+                    cat: "msg",
+                    class: classify(&m.kind, m.src),
+                    block: m.block,
+                    src: m.src,
+                    dst: m.dst,
+                    links: d.links,
                     flits,
-                    is_dedup_block(&self.memory, out.msg.block),
-                );
+                    dedup: is_dedup_block(&self.memory, m.block),
+                });
             }
             self.deliver(d.arrival, out.msg);
         }
         for b in ctx.bcasts.drain(..) {
-            let flits = if b.kind.carries_data() {
-                self.cfg.noc.data_flits
-            } else {
-                self.cfg.noc.control_flits
-            };
+            let flits = self.flits(&b.kind);
             let arrivals = self.mesh.broadcast(now + b.delay, b.src.tile(), flits);
             let end = arrivals.iter().map(|&(_, at)| at).max().unwrap_or(now + b.delay);
-            // The spanning-tree broadcast charges tiles - 1 links.
-            let bcast_links = (self.cfg.tiles() - 1) as u64;
-            if let Some(tr) = &mut self.tracer {
-                let src = b.src.tile();
-                tr.on_message(
-                    now + b.delay,
-                    end,
-                    b.kind.label(),
-                    "bcast",
-                    b.block,
-                    src,
-                    src,
-                    bcast_links,
-                );
-            }
-            if let Some(a) = &mut self.attr {
-                a.on_message(
-                    now + b.delay,
-                    end,
-                    classify(&b.kind, b.src),
-                    b.block,
-                    b.src,
-                    b.src,
-                    bcast_links,
+            // The spanning-tree broadcast charges tiles - 1 links; its
+            // span runs from the source to itself.
+            if let Some(obs) = &mut self.obs {
+                obs.on_message(&Span {
+                    depart: now + b.delay,
+                    arrival: end,
+                    label: b.kind.label(),
+                    cat: "bcast",
+                    class: classify(&b.kind, b.src),
+                    block: b.block,
+                    src: b.src,
+                    dst: b.src,
+                    links: (self.cfg.tiles() - 1) as u64,
                     flits,
-                    is_dedup_block(&self.memory, b.block),
-                );
+                    dedup: is_dedup_block(&self.memory, b.block),
+                });
             }
             for (t, at) in arrivals {
                 if Some(t) == b.exclude {
@@ -584,32 +532,25 @@ impl CmpSimulator {
             let flits =
                 if op.is_write { self.cfg.noc.data_flits } else { self.cfg.noc.control_flits };
             let d = self.mesh.send(now + op.delay, op.home, ctrl_tile, flits);
-            if let Some(tr) = &mut self.tracer {
-                let name = if op.is_write { "MemWrite" } else { "MemRead" };
-                tr.on_message(
-                    now + op.delay,
-                    d.arrival,
-                    name,
-                    "mem",
-                    op.block,
-                    op.home,
-                    ctrl_tile,
-                    d.links,
-                );
-            }
-            if let Some(a) = &mut self.attr {
-                let class = if op.is_write { MsgClass::MemWrite } else { MsgClass::MemRead };
-                a.on_message(
-                    now + op.delay,
-                    d.arrival,
+            if let Some(obs) = &mut self.obs {
+                let (label, class) = if op.is_write {
+                    ("MemWrite", MsgClass::MemWrite)
+                } else {
+                    ("MemRead", MsgClass::MemRead)
+                };
+                obs.on_message(&Span {
+                    depart: now + op.delay,
+                    arrival: d.arrival,
+                    label,
+                    cat: "mem",
                     class,
-                    op.block,
-                    Node::L2(op.home),
-                    Node::L2(ctrl_tile),
-                    d.links,
+                    block: op.block,
+                    src: Node::L2(op.home),
+                    dst: Node::L2(ctrl_tile),
+                    links: d.links,
                     flits,
-                    is_dedup_block(&self.memory, op.block),
-                );
+                    dedup: is_dedup_block(&self.memory, op.block),
+                });
             }
             let start = d.arrival.max(self.ctrl_free[ctrl]);
             self.ctrl_free[ctrl] = start + self.cfg.mem_service;
@@ -617,30 +558,20 @@ impl CmpSimulator {
                 let ready = start + self.cfg.mem_latency + self.rng.jitter(self.cfg.mem_jitter);
                 let back =
                     self.mesh.send(ready, ctrl_tile, op.home, self.cfg.noc.data_flits);
-                if let Some(tr) = &mut self.tracer {
-                    tr.on_message(
-                        ready,
-                        back.arrival,
-                        "MemData",
-                        "mem",
-                        op.block,
-                        ctrl_tile,
-                        op.home,
-                        back.links,
-                    );
-                }
-                if let Some(a) = &mut self.attr {
-                    a.on_message(
-                        ready,
-                        back.arrival,
-                        MsgClass::MemData,
-                        op.block,
-                        Node::L2(ctrl_tile),
-                        Node::L2(op.home),
-                        back.links,
-                        self.cfg.noc.data_flits,
-                        is_dedup_block(&self.memory, op.block),
-                    );
+                if let Some(obs) = &mut self.obs {
+                    obs.on_message(&Span {
+                        depart: ready,
+                        arrival: back.arrival,
+                        label: "MemData",
+                        cat: "mem",
+                        class: MsgClass::MemData,
+                        block: op.block,
+                        src: Node::L2(ctrl_tile),
+                        dst: Node::L2(op.home),
+                        links: back.links,
+                        flits: self.cfg.noc.data_flits,
+                        dedup: is_dedup_block(&self.memory, op.block),
+                    });
                 }
                 self.deliver(
                     back.arrival,
@@ -669,11 +600,8 @@ impl CmpSimulator {
                     continue;
                 }
             }
-            if let Some(tr) = &mut self.tracer {
-                tr.on_completion(now, c.tile);
-            }
-            if let Some(a) = &mut self.attr {
-                a.on_completion(now, c.tile);
+            if let Some(obs) = &mut self.obs {
+                obs.on_completion(now, c.tile);
             }
             let core = &mut self.cores[c.tile];
             debug_assert!(core.outstanding, "completion without outstanding access");
@@ -712,25 +640,22 @@ impl CmpSimulator {
         if let Some(chk) = &mut self.checker {
             chk.record_access(now, tile, block, write);
         }
-        let attr_on = self.attr.is_some();
         let mut ctx = std::mem::take(&mut self.ctx_pool);
         ctx.reset(now);
-        let attr_base = if attr_on { self.attr_cache_base() } else { [0; 7] };
+        let base = self.cache_base();
         let outcome = match self.proto.core_access(&mut ctx, tile, block, write) {
             Ok(o) => o,
             Err(e) => return Err(self.protocol_fault(now, e)),
         };
-        match outcome {
+        // When the core next wakes up on its own (a miss waits for its
+        // completion instead).
+        let resume_at = match outcome {
             AccessOutcome::Hit { latency } => {
                 self.cores[tile].pending = None;
                 self.cores[tile].refs_done += 1;
                 self.refs_total += 1;
                 self.last_progress = now;
-                if attr_on {
-                    self.attr_record_cache_delta(block, attr_base);
-                }
-                self.apply_ctx(now, &mut ctx);
-                self.queue.push(now + latency, Ev::CoreResume(tile));
+                Some(now + latency)
             }
             AccessOutcome::Miss => {
                 self.cores[tile].pending = None;
@@ -739,33 +664,28 @@ impl CmpSimulator {
                 // Open the transaction before routing the request so
                 // its own messages (and this dispatch's cache probes)
                 // attribute to it.
-                if let Some(tr) = &mut self.tracer {
-                    tr.on_issue(now, tile, block, write);
-                }
-                if let Some(a) = &mut self.attr {
-                    a.on_issue(now, tile, block, write, is_dedup_block(&self.memory, block));
-                }
-                if attr_on {
-                    self.attr_record_cache_delta(block, attr_base);
+                if let Some(obs) = &mut self.obs {
+                    obs.on_issue(now, tile, block, write, is_dedup_block(&self.memory, block));
                 }
                 if self.faults.is_some() {
                     self.fault_open_miss(now, tile, block, &ctx);
                 }
-                self.apply_ctx(now, &mut ctx);
+                None
             }
             AccessOutcome::Blocked { reason } => {
-                if attr_on {
-                    self.attr_record_cache_delta(block, attr_base);
-                }
-                // The 7-cycle retry below is a pre-issue wait: it is
-                // accounted chip-wide by reason, outside the per-miss
+                // The 7-cycle retry is a pre-issue wait: it is accounted
+                // chip-wide by reason, outside the per-miss
                 // reconciliation window (the miss has not opened yet).
-                if let Some(a) = &mut self.attr {
-                    a.on_blocked(reason, 7, tile);
+                if let Some(obs) = &mut self.obs {
+                    obs.on_blocked(reason, 7, tile);
                 }
-                self.apply_ctx(now, &mut ctx);
-                self.queue.push(now + 7, Ev::CoreResume(tile));
+                Some(now + 7)
             }
+        };
+        self.record_cache_delta(block, base);
+        self.apply_ctx(now, &mut ctx);
+        if let Some(at) = resume_at {
+            self.queue.push(at, Ev::CoreResume(tile));
         }
         self.ctx_pool = ctx;
         Ok(())
@@ -934,6 +854,8 @@ impl CmpSimulator {
                 HotBlock { block, queued, views }
             })
             .collect();
+        let (trace_tail, phase_lines) =
+            self.obs.as_ref().map(|o| o.stall_lines(now)).unwrap_or_default();
         SimError::Stalled(Box::new(StallReport {
             reason,
             cycle: now,
@@ -942,8 +864,8 @@ impl CmpSimulator {
             in_flight,
             pending_summary: self.proto.pending_summary(),
             hot_blocks,
-            trace_tail: self.tracer.as_ref().map(|t| t.tail_lines(16)).unwrap_or_default(),
-            phase_lines: self.attr.as_ref().map(|a| a.stall_lines(now, 8)).unwrap_or_default(),
+            trace_tail,
+            phase_lines,
             fault: self.faults.as_ref().map(FaultState::context),
             artifact: None,
         }))
@@ -1035,17 +957,13 @@ impl CmpSimulator {
             self.refs_at_reset = total;
             self.proto.reset_stats();
             self.mesh.reset_stats();
-            // The tracer's hop accounting mirrors the NoC counters, so
-            // it resets with them (open transactions are kept).
-            if let Some(tr) = &mut self.tracer {
-                tr.reset();
-            }
-            // Attribution likewise: aggregates zero with the stats, and
-            // open transactions keep their recorded spans so misses
-            // straddling the boundary still reconcile against the
-            // protocol's full-latency miss record.
-            if let Some(a) = &mut self.attr {
-                a.reset();
+            // The tracer's hop accounting and attribution's aggregates
+            // mirror the stats, so they reset with them; open
+            // transactions are kept, so misses straddling the boundary
+            // still complete (and reconcile against the protocol's
+            // full-latency miss record).
+            if let Some(obs) = &mut self.obs {
+                obs.reset();
             }
             // Spatial counters cover the measurement window only.
             self.tile_misses.iter_mut().for_each(|m| *m = 0);
@@ -1105,7 +1023,7 @@ impl CmpSimulator {
             refs: self.cores.iter().map(|c| c.refs_done).sum(),
             cache_nj: model.cache_energy(ps).total(),
             net_nj: model.network_energy(ns).total(),
-            phase: self.attr.as_ref().map(|a| a.phase_totals().0).unwrap_or_default(),
+            phase: self.obs.as_ref().and_then(Observers::phase_totals).unwrap_or_default().0,
             faults_injected: self.faults.as_ref().map(|f| f.engine.stats().total()).unwrap_or(0),
             retries: ps.retries.get(),
             timeouts: ps.timeouts.get(),
@@ -1195,18 +1113,15 @@ impl CmpSimulator {
                     if self.trace_block == Some(msg.block) {
                         cmpsim_engine::debug_log::trace(now, format_args!("{msg:?}"));
                     }
-                    let attr_on = self.attr.is_some();
                     let mut ctx = std::mem::take(&mut self.ctx_pool);
                     ctx.reset(now);
-                    let attr_base = if attr_on { self.attr_cache_base() } else { [0; 7] };
+                    let base = self.cache_base();
                     if let Err(e) = self.proto.handle(&mut ctx, msg) {
                         return Err(self.protocol_fault(now, e));
                     }
                     // Charge this dispatch's cache events before the
                     // Ctx is applied (which may close the transaction).
-                    if attr_on {
-                        self.attr_record_cache_delta(msg.block, attr_base);
-                    }
+                    self.record_cache_delta(msg.block, base);
                     self.apply_ctx(now, &mut ctx);
                     self.ctx_pool = ctx;
                     if let Some((tile, block)) =
@@ -1311,7 +1226,7 @@ impl CmpSimulator {
             let occ = self.proto.occupancy();
             s.finish(now, &cum, &occ)
         });
-        let trace = self.tracer.take().map(TxTracer::finish);
+        let (trace, breakdown) = self.obs.take().map(Observers::finish).unwrap_or_default();
         let mut result = RunResult::collect(
             self.proto.kind(),
             self.benchmark,
@@ -1328,7 +1243,7 @@ impl CmpSimulator {
         );
         result.timeseries = timeseries;
         result.trace = trace;
-        result.breakdown = self.attr.take().map(TxAttribution::finish);
+        result.breakdown = breakdown;
         result.spatial = Some(SpatialLog {
             rows: self.cfg.noc.rows as u64,
             cols: self.cfg.noc.cols as u64,
@@ -1372,12 +1287,11 @@ impl CmpSimulator {
     /// config) triple — restore validates it.
     ///
     /// Only valid on observer-free simulators (the [`snapshot_eligible`]
-    /// precondition): the tracer, invariant checker and attribution
-    /// accumulate pre-warm-up history that is deliberately not part of
-    /// the image.
+    /// precondition): the accumulating observers hold pre-warm-up
+    /// history that is deliberately not part of the image.
     pub fn save_snapshot(&self, key: u64) -> Vec<u8> {
         debug_assert!(
-            self.checker.is_none() && self.tracer.is_none() && self.attr.is_none(),
+            snapshot_eligible(&self.cfg),
             "snapshots are only taken from observer-free simulators"
         );
         let mut w = SnapWriter::with_capacity(1 << 16);
@@ -1509,10 +1423,7 @@ impl CmpSimulator {
     /// at the warm-up boundary — the fork's interval sampler is rebuilt
     /// there, exactly like a snapshot restore.
     pub fn fork(&self) -> Self {
-        assert!(
-            self.checker.is_none() && self.tracer.is_none() && self.attr.is_none(),
-            "fork is only valid on observer-free simulators"
-        );
+        assert!(snapshot_eligible(&self.cfg), "fork is only valid on observer-free simulators");
         let mut f = Self {
             cfg: self.cfg.clone(),
             proto: self.proto.clone(),
@@ -1534,8 +1445,7 @@ impl CmpSimulator {
             last_progress: self.last_progress,
             refs_total: self.refs_total,
             checker: None,
-            tracer: None,
-            attr: None,
+            obs: None,
             sampler: None,
             energy_model: None,
             faults: self.faults.clone(),
@@ -1554,6 +1464,8 @@ impl CmpSimulator {
 /// hold pre-warm-up history a restored run would lack, so runs using
 /// them always execute cold. Interval sampling is fine — the sampler is
 /// created at the warm-up boundary, exactly where snapshots restore.
+/// The one rule for that: [`CmpSimulator::save_snapshot`] and
+/// [`CmpSimulator::fork`] assert it on the simulator's own config.
 pub fn snapshot_eligible(cfg: &SystemConfig) -> bool {
     !cfg.tracing && !cfg.check_invariants && !cfg.attribution
 }
@@ -1710,6 +1622,7 @@ pub fn run_matrix_with_options(
 mod tests {
     use super::*;
     use cmpsim_protocols::checker::{ChipSnapshot, CopyView};
+    use cmpsim_protocols::ProtoStats;
 
     #[test]
     fn smoke_all_protocols_complete() {

@@ -14,35 +14,28 @@
 //! simulation queue, never touches the RNG, and the simulated timing is
 //! bit-identical with it on or off.
 
+use crate::observe::{OpenMiss, Span};
 use cmpsim_engine::{trace::format_event, Cycle, TraceEvent, TraceRing};
-use cmpsim_protocols::common::{Block, Tile};
-use std::collections::BTreeMap;
+use cmpsim_protocols::common::Tile;
 
-/// One open (issued, not yet completed) transaction.
+/// The tracer's payload of one open transaction.
 #[derive(Debug, Clone)]
-struct OpenTx {
+struct TxTrack {
     id: u64,
-    block: Block,
-    write: bool,
-    issued: Cycle,
     hops: u64,
     msgs: u64,
 }
 
 /// Assigns transaction ids to misses and records message spans into a
-/// bounded ring. Owned by the simulator; only present when tracing is
-/// enabled, so the disabled hot path is a single `Option` test.
+/// bounded ring. Which open miss a message belongs to is decided by the
+/// shared index in [`crate::observe`].
 #[derive(Debug, Clone)]
-pub struct TxTracer {
+pub(crate) struct TxTracer {
     ring: TraceRing,
     /// Next transaction id (0 is reserved for untracked traffic).
     next_id: u64,
-    /// The open transaction of each tile (a core has at most one
-    /// outstanding miss, so tile indexes the open set exactly).
-    open: Vec<Option<OpenTx>>,
-    /// Tiles with an open transaction on a block, oldest first — the
-    /// attribution order for messages on that block.
-    by_block: BTreeMap<Block, Vec<Tile>>,
+    /// The open transaction of each tile.
+    open: Vec<Option<TxTrack>>,
     /// Link traversals attributed to an open transaction.
     tx_hops: u64,
     /// Link traversals with no open transaction on their block
@@ -55,118 +48,74 @@ pub struct TxTracer {
 impl TxTracer {
     /// Creates a tracer for a `tiles`-tile chip with a ring of
     /// `capacity` events.
-    pub fn new(tiles: usize, capacity: usize) -> Self {
+    pub(crate) fn new(tiles: usize, capacity: usize) -> Self {
         Self {
             ring: TraceRing::new(capacity),
             next_id: 1,
             open: vec![None; tiles],
-            by_block: BTreeMap::new(),
             tx_hops: 0,
             untracked_hops: 0,
             completed: 0,
         }
     }
 
-    /// The transaction a message on `block` belongs to (0 when none is
-    /// open — background traffic).
-    fn tid_of(&self, block: Block) -> u64 {
-        self.by_block
-            .get(&block)
-            .and_then(|tiles| tiles.first())
-            .and_then(|&t| self.open[t].as_ref())
-            .map_or(0, |tx| tx.id)
-    }
-
-    /// Records an L1 miss issuing at `now` on `tile`: opens a new
-    /// transaction and returns its id.
-    pub fn on_issue(&mut self, now: Cycle, tile: Tile, block: Block, write: bool) -> u64 {
-        let id = self.next_id;
+    /// Opens a new transaction on `tile`.
+    pub(crate) fn on_issue(&mut self, tile: Tile) {
+        self.open[tile] = Some(TxTrack { id: self.next_id, hops: 0, msgs: 0 });
         self.next_id += 1;
-        // A core has one outstanding miss at a time; a leftover entry
-        // would mean a completion was lost, which the simulator's own
-        // debug assertions catch. Drop it defensively here.
-        if let Some(stale) = self.open[tile].take() {
-            self.unlink(stale.block, tile);
-        }
-        self.open[tile] = Some(OpenTx { id, block, write, issued: now, hops: 0, msgs: 0 });
-        self.by_block.entry(block).or_default().push(tile);
-        id
     }
 
-    /// Records one network message: a span `[depart, arrival)` on the
-    /// track of the transaction currently open on `block`, charging its
-    /// `links` hop count to that transaction (or the untracked bucket).
-    #[allow(clippy::too_many_arguments)]
-    pub fn on_message(
-        &mut self,
-        depart: Cycle,
-        arrival: Cycle,
-        name: &'static str,
-        cat: &'static str,
-        block: Block,
-        src: Tile,
-        dst: Tile,
-        links: u64,
-    ) {
-        let tid = self.tid_of(block);
-        if tid != 0 {
-            let tiles = &self.by_block[&block];
-            let owner = tiles[0];
-            if let Some(tx) = self.open[owner].as_mut() {
-                tx.hops += links;
+    /// Records one network message on the track of the transaction open
+    /// on `owner`, charging its hop count to that transaction (or the
+    /// untracked bucket, on track 0).
+    pub(crate) fn on_message(&mut self, owner: Option<Tile>, span: &Span) {
+        let tid = match owner.and_then(|t| self.open[t].as_mut()) {
+            Some(tx) => {
+                tx.hops += span.links;
                 tx.msgs += 1;
+                self.tx_hops += span.links;
+                tx.id
             }
-            self.tx_hops += links;
-        } else {
-            self.untracked_hops += links;
-        }
+            None => {
+                self.untracked_hops += span.links;
+                0
+            }
+        };
         self.ring.push(TraceEvent {
-            ts: depart,
-            dur: arrival.saturating_sub(depart),
-            name: name.to_string(),
-            cat,
+            ts: span.depart,
+            dur: span.arrival.saturating_sub(span.depart),
+            name: span.label.to_string(),
+            cat: span.cat,
             tid,
             args: vec![
-                ("block", block),
-                ("src", src as u64),
-                ("dst", dst as u64),
-                ("links", links),
+                ("block", span.block),
+                ("src", span.src.tile() as u64),
+                ("dst", span.dst.tile() as u64),
+                ("links", span.links),
             ],
         });
     }
 
-    /// Records the completion at `now` of the transaction open on
-    /// `tile`, emitting its whole-lifecycle span.
-    pub fn on_completion(&mut self, now: Cycle, tile: Tile) {
+    /// Records the completion at `now` of `miss`, open on `tile`,
+    /// emitting its whole-lifecycle span.
+    pub(crate) fn on_completion(&mut self, now: Cycle, tile: Tile, miss: &OpenMiss) {
         let Some(tx) = self.open[tile].take() else {
             return;
         };
-        self.unlink(tx.block, tile);
         self.completed += 1;
         self.ring.push(TraceEvent {
-            ts: tx.issued,
-            dur: now.saturating_sub(tx.issued),
-            name: if tx.write { "store-miss".to_string() } else { "load-miss".to_string() },
+            ts: miss.issued,
+            dur: now.saturating_sub(miss.issued),
+            name: if miss.write { "store-miss".to_string() } else { "load-miss".to_string() },
             cat: "tx",
             tid: tx.id,
             args: vec![
-                ("block", tx.block),
+                ("block", miss.block),
                 ("tile", tile as u64),
                 ("hops", tx.hops),
                 ("msgs", tx.msgs),
             ],
         });
-    }
-
-    fn unlink(&mut self, block: Block, tile: Tile) {
-        if let Some(tiles) = self.by_block.get_mut(&block) {
-            if let Some(i) = tiles.iter().position(|&t| t == tile) {
-                tiles.remove(i);
-            }
-            if tiles.is_empty() {
-                self.by_block.remove(&block);
-            }
-        }
     }
 
     /// Warm-up reset: discards buffered events and zeroes the hop
@@ -175,7 +124,7 @@ impl TxTracer {
     /// Their per-transaction accumulators restart too, so completed
     /// spans only ever report post-warm-up hops and the span sum stays
     /// reconcilable with `tx_hops`.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.ring.clear();
         self.tx_hops = 0;
         self.untracked_hops = 0;
@@ -187,12 +136,12 @@ impl TxTracer {
     }
 
     /// The last `n` events rendered as text lines (for stall dumps).
-    pub fn tail_lines(&self, n: usize) -> Vec<String> {
+    pub(crate) fn tail_lines(&self, n: usize) -> Vec<String> {
         self.ring.tail(n).map(format_event).collect()
     }
 
     /// Finalizes the tracer into the exportable log.
-    pub fn finish(self) -> TraceLog {
+    pub(crate) fn finish(self) -> TraceLog {
         let open = self.open.iter().filter(|o| o.is_some()).count() as u64;
         TraceLog {
             ring: self.ring,
@@ -236,16 +185,25 @@ impl TraceLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observe::{tests::span, Observers};
+    use cmpsim_protocols::common::Node;
+
+    fn tracer(tiles: usize, capacity: usize) -> Observers {
+        Observers::with_parts(tiles, Some(TxTracer::new(tiles, capacity)), None)
+    }
+
+    fn finish(o: Observers) -> TraceLog {
+        o.finish().0.expect("tracing on")
+    }
 
     #[test]
     fn issue_message_complete_lifecycle() {
-        let mut t = TxTracer::new(4, 64);
-        let id = t.on_issue(10, 2, 0x40, false);
-        assert_eq!(id, 1);
-        t.on_message(10, 15, "GetS", "msg", 0x40, 2, 0, 3);
-        t.on_message(15, 22, "Data", "msg", 0x40, 0, 2, 3);
+        let mut t = tracer(4, 64);
+        t.on_issue(10, 2, 0x40, false, false);
+        t.on_message(&span(10, 15, 0x40, Node::L1(2), Node::L2(0), 3));
+        t.on_message(&span(15, 22, 0x40, Node::L2(0), Node::L1(2), 3));
         t.on_completion(22, 2);
-        let log = t.finish();
+        let log = finish(t);
         assert_eq!(log.completed_txs, 1);
         assert_eq!(log.open_txs, 0);
         assert_eq!(log.tx_hops, 6);
@@ -253,6 +211,7 @@ mod tests {
         assert_eq!(log.ring.len(), 3);
         let tx = log.ring.iter().last().unwrap();
         assert_eq!(tx.cat, "tx");
+        assert_eq!(tx.tid, 1);
         assert_eq!(tx.ts, 10);
         assert_eq!(tx.dur, 12);
         assert!(tx.args.contains(&("hops", 6)));
@@ -261,9 +220,9 @@ mod tests {
 
     #[test]
     fn background_traffic_lands_on_track_zero() {
-        let mut t = TxTracer::new(2, 16);
-        t.on_message(5, 9, "WbData", "msg", 0x80, 1, 0, 2);
-        let log = t.finish();
+        let mut t = tracer(2, 16);
+        t.on_message(&span(5, 9, 0x80, Node::L1(1), Node::L2(0), 2));
+        let log = finish(t);
         assert_eq!(log.untracked_hops, 2);
         assert_eq!(log.tx_hops, 0);
         assert_eq!(log.ring.iter().next().unwrap().tid, 0);
@@ -271,29 +230,29 @@ mod tests {
 
     #[test]
     fn attribution_follows_oldest_open_tx() {
-        let mut t = TxTracer::new(4, 16);
-        let a = t.on_issue(1, 0, 0x40, false);
-        let b = t.on_issue(2, 1, 0x40, true);
-        t.on_message(3, 5, "Fwd", "msg", 0x40, 0, 1, 1);
+        let mut t = tracer(4, 16);
+        t.on_issue(1, 0, 0x40, false, false);
+        t.on_issue(2, 1, 0x40, true, false);
+        t.on_message(&span(3, 5, 0x40, Node::L1(0), Node::L1(1), 1));
         t.on_completion(6, 0);
         // With tile 0's transaction closed, the same block now maps to
         // tile 1's.
-        t.on_message(7, 9, "Data", "msg", 0x40, 1, 0, 1);
-        let tids: Vec<u64> =
-            t.ring.iter().filter(|e| e.cat == "msg").map(|e| e.tid).collect();
-        assert_eq!(tids, vec![a, b]);
+        t.on_message(&span(7, 9, 0x40, Node::L1(1), Node::L1(0), 1));
+        let log = finish(t);
+        let tids: Vec<u64> = log.ring.iter().filter(|e| e.cat == "msg").map(|e| e.tid).collect();
+        assert_eq!(tids, vec![1, 2]);
     }
 
     #[test]
     fn reset_keeps_open_transactions() {
-        let mut t = TxTracer::new(2, 16);
-        t.on_issue(1, 0, 0x40, false);
-        t.on_message(1, 4, "GetS", "msg", 0x40, 0, 1, 2);
+        let mut t = tracer(2, 16);
+        t.on_issue(1, 0, 0x40, false, false);
+        t.on_message(&span(1, 4, 0x40, Node::L1(0), Node::L2(1), 2));
         t.reset();
-        assert_eq!(t.tail_lines(8).len(), 0);
-        t.on_message(5, 8, "Data", "msg", 0x40, 1, 0, 2);
+        assert_eq!(t.stall_lines(4).0.len(), 0);
+        t.on_message(&span(5, 8, 0x40, Node::L2(1), Node::L1(0), 2));
         t.on_completion(8, 0);
-        let log = t.finish();
+        let log = finish(t);
         // Only the post-reset hops are counted...
         assert_eq!(log.tx_hops, 2);
         // ...but the straddling transaction still completes.
@@ -303,12 +262,13 @@ mod tests {
 
     #[test]
     fn tail_lines_render() {
-        let mut t = TxTracer::new(2, 16);
-        t.on_issue(1, 0, 0x40, true);
-        t.on_message(1, 4, "GetX", "msg", 0x40, 0, 1, 2);
-        let lines = t.tail_lines(4);
+        let mut t = tracer(2, 16);
+        t.on_issue(1, 0, 0x40, true, false);
+        t.on_message(&Span { label: "GetX", ..span(1, 4, 0x40, Node::L1(0), Node::L2(1), 2) });
+        let (lines, phases) = t.stall_lines(4);
         assert_eq!(lines.len(), 1);
         assert!(lines[0].contains("GetX"), "{}", lines[0]);
         assert!(lines[0].contains("links=2"), "{}", lines[0]);
+        assert!(phases.is_empty(), "attribution is off");
     }
 }
