@@ -701,7 +701,9 @@ mod tests {
     }
 
     fn with_vms(vm_of: Vec<usize>, num_vms: usize) -> Observers {
-        Observers::with_parts(vm_of.len(), None, Some(TxAttribution::new(vm_of, num_vms)))
+        let mut cfg = crate::SystemConfig::smoke().with_attribution();
+        cfg.num_vms = num_vms;
+        Observers::new(&cfg, vm_of).expect("attribution on")
     }
 
     fn finish(o: Observers) -> BreakdownLog {

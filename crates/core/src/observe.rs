@@ -109,15 +109,12 @@ impl Observers {
         let tiles = vm_of.len();
         let tracer = cfg.tracing.then(|| TxTracer::new(tiles, cfg.trace_capacity));
         let attr = cfg.attribution.then(|| TxAttribution::new(vm_of, cfg.num_vms));
-        (tracer.is_some() || attr.is_some()).then(|| Self::with_parts(tiles, tracer, attr))
-    }
-
-    pub(crate) fn with_parts(
-        tiles: usize,
-        tracer: Option<TxTracer>,
-        attr: Option<TxAttribution>,
-    ) -> Self {
-        Self { open: vec![None; tiles], by_block: BTreeMap::new(), tracer, attr }
+        (tracer.is_some() || attr.is_some()).then(|| Self {
+            open: vec![None; tiles],
+            by_block: BTreeMap::new(),
+            tracer,
+            attr,
+        })
     }
 
     /// The tile whose open miss owns an event on `block`.
@@ -263,26 +260,11 @@ pub(crate) mod tests {
     }
 
     fn tracer(tiles: usize) -> Observers {
-        Observers::with_parts(tiles, Some(TxTracer::new(tiles, 64)), None)
-    }
-
-    /// Two open misses on one block: events go to the older one, then
-    /// to the younger once the older completes.
-    #[test]
-    fn oldest_open_miss_owns_the_block() {
-        let mut o = tracer(4);
-        o.on_issue(1, 0, 0x40, false, false);
-        o.on_issue(2, 1, 0x40, true, false);
-        assert_eq!(o.owner(0x40), Some(0));
-        o.on_completion(6, 0);
-        assert_eq!(o.owner(0x40), Some(1));
-        o.on_completion(9, 1);
-        assert_eq!(o.owner(0x40), None);
-        assert!(o.by_block.is_empty());
+        Observers::new(&SystemConfig::smoke().with_trace_capacity(64), vec![0; tiles]).unwrap()
     }
 
     /// A re-issue on a tile with a leftover open miss drops the stale
-    /// entry from its block's list.
+    /// entry from its block's list, and a completion unlinks the tile.
     #[test]
     fn reissue_drops_the_stale_entry() {
         let mut o = tracer(2);
@@ -291,10 +273,11 @@ pub(crate) mod tests {
         assert_eq!(o.owner(0x40), None);
         assert_eq!(o.owner(0x80), Some(0));
         o.on_message(&span(5, 8, 0x40, Node::L2(1), Node::L1(0), 2));
-        let (trace, _) = o.finish();
-        let trace = trace.unwrap();
+        o.on_completion(9, 0);
+        assert!(o.by_block.is_empty());
+        let trace = o.finish().0.expect("tracing on");
         assert_eq!(trace.untracked_hops, 2);
-        assert_eq!(trace.open_txs, 1);
+        assert_eq!((trace.completed_txs, trace.open_txs), (1, 0));
     }
 
     /// Without any observer turned on there is nothing to build.

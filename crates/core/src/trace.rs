@@ -189,7 +189,8 @@ mod tests {
     use cmpsim_protocols::common::Node;
 
     fn tracer(tiles: usize, capacity: usize) -> Observers {
-        Observers::with_parts(tiles, Some(TxTracer::new(tiles, capacity)), None)
+        let cfg = crate::SystemConfig::smoke().with_trace_capacity(capacity);
+        Observers::new(&cfg, vec![0; tiles]).expect("tracing on")
     }
 
     fn finish(o: Observers) -> TraceLog {
