@@ -17,7 +17,14 @@
 //! cmpsim-cli compare --baseline cur.json base.json [--threshold F] [--rebaseline]
 //!                                               # structural run diff / CI
 //!                                               # regression gate (nonzero exit)
-//! cmpsim-cli tables                             # Tables V, VI, VII (analytic)
+//! cmpsim-cli figures [run options] [--out F.csv] # Figures 7, 8a, 8b, 9a, 9b +
+//!                                               # §V-D hop/latency summaries
+//!                                               # over the 32-cell matrix
+//!                                               # (--out: their raw CSV)
+//! cmpsim-cli tables                             # Tables V, VI, VII + §V-D hop
+//!                                               # analysis (analytic)
+//! cmpsim-cli study <alt|areas|density|ablation|single-app> [-n N] [--seed S]
+//!                  [--threads N]                # the studies beyond the figures
 //! cmpsim-cli replay <artifact.json> [--check] [--snapshot-dir D]
 //!                                               # re-run a crash dump (resumes
 //!                                               # from the warmed checkpoint
@@ -43,7 +50,7 @@
 //! cmpsim-cli list                               # protocols & benchmarks
 //! ```
 //!
-//! Observability flags (run / stats / matrix / breakdown / vmstat):
+//! Observability flags (run / stats / matrix / figures / breakdown / vmstat):
 //!
 //! ```text
 //! --trace-out <file>      record the coherence-transaction trace and
@@ -80,7 +87,9 @@
 //! to — and compared against — the exact run that produced them.
 //!
 //! `matrix` writes one file per cell, suffixing the protocol name
-//! before the extension (the breakdown artifact is one combined file).
+//! before the extension (`figures`: protocol and benchmark, as in
+//! `out-dico-apache4x16p.json`); the breakdown artifact is one combined
+//! file.
 //! Every simulating command prints a host self-profile line (wall-clock
 //! spans + simulated-cycles/s throughput) to **stderr**, keeping stdout
 //! and every artifact deterministic.
@@ -107,8 +116,8 @@
 //! invariant.
 
 use cmpsim::report::{
-    breakdown_csv, breakdown_energy_table, breakdown_json, breakdown_latency_table,
-    markdown_chaos_section, markdown_report, table,
+    all_figures, breakdown_csv, breakdown_energy_table, breakdown_json, breakdown_latency_table,
+    markdown_chaos_section, markdown_report, sweep_csv, table, tables,
 };
 use cmpsim::chaos::{chaos_sweep_with_options, CellOutcome};
 use cmpsim::snapshot::key_hex;
@@ -116,9 +125,8 @@ use cmpsim::vmstat::{heatmap_csv, heatmap_json, vmstat_json, vmstat_tables};
 use cmpsim::{
     run_benchmark_with_store, run_matrix_with_options, snapshot_eligible, snapshot_key, Benchmark,
     CmpSimulator, FaultPlan, MissClass, Placement, ProtocolKind, ReplayArtifact, RunResult,
-    SimError, SnapshotStore, SystemConfig,
+    SimError, SnapshotStore, Study, SystemConfig,
 };
-use cmpsim_power::{leakage_per_tile, overhead_percent};
 use std::path::Path;
 
 struct Options {
@@ -543,14 +551,67 @@ fn cmd_matrix(o: &Options) {
             &rows
         )
     );
+    write_matrix_outputs(o, &results, |r| r.protocol.name().to_lowercase());
+}
+
+/// Writes a matrix's artifacts: the combined breakdown and tenant
+/// files, then each cell's own files, suffixed with `tag(cell)`.
+fn write_matrix_outputs(o: &Options, results: &[RunResult], tag: impl Fn(&RunResult) -> String) {
     if let Some(p) = &o.breakdown_out {
-        write_breakdown(p, &results);
+        write_breakdown(p, results);
     }
-    write_tenant_outputs(o, &results);
-    for r in &results {
-        let tag = r.protocol.name().to_lowercase();
-        write_outputs(o, r, Some(&tag));
+    write_tenant_outputs(o, results);
+    for r in results {
+        write_outputs(o, r, Some(&tag(r)));
     }
+}
+
+/// `figures`: the paper's Figures 7-9 and the §V-D summaries over the
+/// full (benchmark x protocol) matrix, or with `--out F.csv` their raw
+/// data as CSV.
+fn cmd_figures(o: &Options) {
+    let (protocols, benchmarks) = (ProtocolKind::all(), Benchmark::all());
+    let sink =
+        progress_sink("figures", protocols.len() * benchmarks.len(), o.progress_out.as_deref());
+    let store = snapshot_store(o.snapshot_dir.as_deref());
+    let results = run_matrix_with_options(
+        &protocols,
+        &benchmarks,
+        &config(o),
+        Some(&sink),
+        o.threads,
+        store.as_ref(),
+    )
+    .unwrap_or_else(|e| bail(e));
+    match &o.out {
+        Some(p) => write_file(p, &sweep_csv(&results), "csv"),
+        None => print!("{}", all_figures(&results)),
+    }
+    write_matrix_outputs(o, &results, |r| {
+        format!("{}-{}", r.protocol.name().to_lowercase(), r.benchmark.name())
+    });
+}
+
+/// `study <name>`: one of the studies beyond the paper's figures, run
+/// on the paper chip at `-n` refs/core and `--seed`.
+fn cmd_study(args: &[String]) {
+    let bad = |e: String| -> ! {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    };
+    let Some((name, rest)) = args.split_first() else {
+        bad("study needs a name (alt | areas | density | ablation | single-app)".into())
+    };
+    let study: Study = name.parse().unwrap_or_else(|e| bad(e));
+    // No option value of a study starts with '-', so every such word is a flag.
+    if let Some(f) = rest.iter().find(|a| {
+        a.starts_with('-') && !["-n", "--refs", "-s", "--seed", "--threads"].contains(&a.as_str())
+    }) {
+        bad(format!("study takes -n, --seed and --threads, not {f}"));
+    }
+    let o = parse_options(rest).unwrap_or_else(|e| bad(e));
+    let base = SystemConfig::paper().with_refs(o.refs).with_seed(o.seed);
+    print!("{}", study.run(&base, o.threads).unwrap_or_else(|e| bail(e)));
 }
 
 /// `breakdown`: runs all four protocols with attribution on and prints
@@ -748,35 +809,6 @@ fn cmd_compare(args: &[String]) {
     if !report.passed(&opts) {
         std::process::exit(1);
     }
-}
-
-fn cmd_tables() {
-    println!("== Table V/VII: storage overhead (64 cores) ==\n");
-    let areas = [2u64, 4, 8, 16, 32, 64];
-    let mut rows = Vec::new();
-    for kind in ProtocolKind::all() {
-        let mut row = vec![kind.name().to_string()];
-        row.extend(areas.iter().map(|&a| format!("{:.1}%", overhead_percent(kind, 64, a))));
-        rows.push(row);
-    }
-    let mut header = vec!["protocol".to_string()];
-    header.extend(areas.iter().map(|a| format!("{a} areas")));
-    let refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
-    println!("{}", table(&refs, &rows));
-
-    println!("== Table VI: leakage per tile (4 areas) ==\n");
-    let rows: Vec<Vec<String>> = ProtocolKind::all()
-        .iter()
-        .map(|&k| {
-            let l = leakage_per_tile(k, 64, 4);
-            vec![
-                k.name().to_string(),
-                format!("{:.0} mW", l.total_mw),
-                format!("{:.0} mW", l.tag_mw),
-            ]
-        })
-        .collect();
-    println!("{}", table(&["protocol", "total", "tags"], &rows));
 }
 
 /// Tries to resume a replay from a warmed checkpoint on disk instead
@@ -1272,13 +1304,14 @@ fn main() {
         Some((c, r)) => (c.as_str(), r),
         None => {
             eprintln!(
-                "usage: cmpsim-cli <run|stats|matrix|breakdown|vmstat|report|compare|tables|replay|sweep|chaos|list> [options]"
+                "usage: cmpsim-cli <run|stats|matrix|figures|breakdown|vmstat|report|compare|tables|study|replay|sweep|chaos|list> [options]"
             );
             std::process::exit(2);
         }
     };
     match cmd {
-        "tables" => cmd_tables(),
+        "tables" => print!("{}", tables()),
+        "study" => cmd_study(rest),
         "list" => cmd_list(),
         "sweep" => cmd_sweep(rest),
         "chaos" => cmd_chaos(rest),
@@ -1317,24 +1350,24 @@ fn main() {
                 }
             }
         }
-        "run" | "matrix" | "stats" | "breakdown" | "report" | "vmstat" => match parse_options(rest)
-        {
-            Ok(o) => match cmd {
+        "run" | "matrix" | "figures" | "stats" | "breakdown" | "report" | "vmstat" => {
+            let o = parse_options(rest).unwrap_or_else(|e| {
+                eprintln!("error: {e}");
+                std::process::exit(2);
+            });
+            match cmd {
                 "run" => cmd_run(&o),
+                "figures" => cmd_figures(&o),
                 "stats" => cmd_stats(&o),
                 "breakdown" => cmd_breakdown(&o),
                 "report" => cmd_report(&o),
                 "vmstat" => cmd_vmstat(&o),
                 _ => cmd_matrix(&o),
-            },
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
             }
-        },
+        }
         other => {
             eprintln!(
-                "unknown command {other}; try run, stats, matrix, breakdown, vmstat, report, compare, tables, replay, sweep, chaos, list"
+                "unknown command {other}; try run, stats, matrix, figures, breakdown, vmstat, report, compare, tables, study, replay, sweep, chaos, list"
             );
             std::process::exit(2);
         }

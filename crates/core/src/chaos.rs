@@ -293,30 +293,20 @@ pub fn chaos_sweep(
     plans: &[FaultPlan],
     cfg: &SystemConfig,
 ) -> ChaosReport {
-    chaos_sweep_with_progress(protocols, benchmarks, plans, cfg, None)
+    chaos_sweep_with_options(protocols, benchmarks, plans, cfg, None, None, None)
 }
 
-/// [`chaos_sweep`] with an optional live-telemetry sink: every judged
-/// cell reports `plan:protocol/benchmark`, its status and the faulty
-/// leg's host events/s as it completes (completion order — the stream
-/// is host-side telemetry, the returned report stays deterministic).
-pub fn chaos_sweep_with_progress(
-    protocols: &[ProtocolKind],
-    benchmarks: &[Benchmark],
-    plans: &[FaultPlan],
-    cfg: &SystemConfig,
-    progress: Option<&ProgressSink>,
-) -> ChaosReport {
-    chaos_sweep_with_options(protocols, benchmarks, plans, cfg, progress, None, None)
-}
-
-/// [`chaos_sweep_with_progress`] plus the sweep-level knobs: an
-/// explicit worker-thread count (`None` = one per host core) and a
-/// shared [`SnapshotStore`]. The fault plan is part of the snapshot key
-/// (faults fire during warm-up too), so golden and per-plan legs never
-/// share an image within one sweep — the wins come from repeated cells
-/// and, with a disk-backed store, from re-running a sweep after the
-/// images were captured.
+/// [`chaos_sweep`] plus the sweep-level knobs. An optional
+/// live-telemetry sink hears of every judged cell
+/// (`plan:protocol/benchmark`, its status and the faulty leg's host
+/// events/s) as it completes — in completion order: the stream is
+/// host-side telemetry, the returned report stays deterministic.
+/// `threads` sets the worker count (`None` = one per host core), and a
+/// shared [`SnapshotStore`] is consulted for every leg. The fault plan
+/// is part of the snapshot key (faults fire during warm-up too), so
+/// golden and per-plan legs never share an image within one sweep —
+/// the wins come from repeated cells and, with a disk-backed store,
+/// from re-running a sweep after the images were captured.
 pub fn chaos_sweep_with_options(
     protocols: &[ProtocolKind],
     benchmarks: &[Benchmark],

@@ -76,13 +76,14 @@ pub mod report;
 pub mod result;
 pub mod sim;
 pub mod snapshot;
+pub mod study;
 pub mod trace;
 pub mod vmstat;
 
 pub use attr::BreakdownLog;
 pub use chaos::{
-    chaos_sweep, chaos_sweep_with_options, chaos_sweep_with_progress, run_differential,
-    CellOutcome, ChaosCell, ChaosReport, DiffOutcome,
+    chaos_sweep, chaos_sweep_with_options, run_differential, CellOutcome, ChaosCell, ChaosReport,
+    DiffOutcome,
 };
 pub use compare::{CompareOptions, CompareReport, MetricDiff, Verdict};
 pub use config::SystemConfig;
@@ -98,9 +99,10 @@ pub use replay::ReplayArtifact;
 pub use result::{ArchState, RunResult, SpatialLog};
 pub use sim::{
     build_protocol, run_benchmark, run_benchmark_with_store, run_matrix, run_matrix_with_options,
-    run_matrix_with_progress, snapshot_eligible, CmpSimulator,
+    snapshot_eligible, CmpSimulator,
 };
 pub use snapshot::{snapshot_key, SnapshotError, SnapshotStore, SNAPSHOT_VERSION};
+pub use study::Study;
 pub use trace::TraceLog;
 pub use vmstat::{ascii_heatmap, heatmap_csv, heatmap_json, vmstat_json, vmstat_tables};
 

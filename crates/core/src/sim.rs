@@ -1563,27 +1563,18 @@ pub fn run_matrix(
     benchmarks: &[Benchmark],
     cfg: &SystemConfig,
 ) -> Result<Vec<RunResult>, SimError> {
-    run_matrix_with_progress(protocols, benchmarks, cfg, None)
+    run_matrix_with_options(protocols, benchmarks, cfg, None, None, None)
 }
 
-/// [`run_matrix`] with an optional live-telemetry sink: every finished
-/// cell reports its name, host events/s and ETA to `progress` as it
-/// completes (completion order, not row-major order — the stream is
-/// host-side telemetry, the returned results stay deterministic).
-pub fn run_matrix_with_progress(
-    protocols: &[ProtocolKind],
-    benchmarks: &[Benchmark],
-    cfg: &SystemConfig,
-    progress: Option<&crate::progress::ProgressSink>,
-) -> Result<Vec<RunResult>, SimError> {
-    run_matrix_with_options(protocols, benchmarks, cfg, progress, None, None)
-}
-
-/// [`run_matrix_with_progress`] plus the sweep-level knobs: an explicit
-/// worker-thread count (`None` = one per host core) and a shared
-/// [`SnapshotStore`]. With a store, all cells sharing a snapshot key
-/// warm up once; the rest fork from the captured image — and with a
-/// disk-backed store the warm-up survives across invocations.
+/// [`run_matrix`] plus the sweep-level knobs. An optional live-telemetry
+/// sink hears of every finished cell (its name, host events/s and ETA)
+/// as it completes — in completion order, not row-major order: the
+/// stream is host-side telemetry, the returned results stay
+/// deterministic. `threads` sets the worker count (`None` = one per
+/// host core), and a shared [`SnapshotStore`] makes all cells sharing a
+/// snapshot key warm up once; the rest fork from the captured image —
+/// and with a disk-backed store the warm-up survives across
+/// invocations.
 pub fn run_matrix_with_options(
     protocols: &[ProtocolKind],
     benchmarks: &[Benchmark],

@@ -293,7 +293,7 @@ pub fn vmstat_tables(results: &[RunResult]) -> String {
 
 /// Markdown "Tenant breakdown" section of one per-benchmark protocol
 /// sweep, appended to the matrix report when attribution ran.
-pub fn tenant_section(rs: &[&RunResult]) -> String {
+pub fn tenant_section(rs: &[RunResult]) -> String {
     let mut out = String::from("### Tenant breakdown\n\n");
     let rows: Vec<Vec<String>> = rs
         .iter()
@@ -448,7 +448,7 @@ mod tests {
         assert!(txt.contains("== DiCo / apache4x16p =="));
         assert!(txt.contains("aggr\\victim"));
         assert!(txt.contains("L1-miss heatmap"));
-        let md = tenant_section(&[&r]);
+        let md = tenant_section(std::slice::from_ref(&r));
         assert!(md.starts_with("### Tenant breakdown"));
         assert!(md.contains("| DiCo | vm0 |"));
         assert!(md.contains("Cross-VM interference"));

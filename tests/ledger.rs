@@ -8,7 +8,7 @@ use cmpsim::manifest::manifest_of;
 use cmpsim::replay::Value;
 use cmpsim::report::markdown_report;
 use cmpsim::{
-    run_benchmark, run_matrix_with_progress, Benchmark, ProgressSink, ProtocolKind, RunManifest,
+    run_benchmark, run_matrix_with_options, Benchmark, ProgressSink, ProtocolKind, RunManifest,
     SystemConfig,
 };
 
@@ -127,8 +127,11 @@ fn synthetic_regression_is_flagged_by_name() {
 fn markdown_report_is_deterministic_and_lists_run_ids() {
     let protocols = [ProtocolKind::Directory, ProtocolKind::DiCo];
     let cfg = cfg().with_attribution().with_interval(1_000);
-    let a = run_matrix_with_progress(&protocols, &[Benchmark::Apache], &cfg, None).expect("run");
-    let b = run_matrix_with_progress(&protocols, &[Benchmark::Apache], &cfg, None).expect("run");
+    let run = || {
+        run_matrix_with_options(&protocols, &[Benchmark::Apache], &cfg, None, None, None)
+            .expect("run")
+    };
+    let (a, b) = (run(), run());
     let md = markdown_report(&a);
     assert_eq!(md, markdown_report(&b), "report must be byte-deterministic");
     assert!(md.starts_with("# cmpsim matrix report"));
@@ -152,7 +155,8 @@ fn matrix_sweep_emits_a_full_progress_stream() {
 
     let protocols = [ProtocolKind::Directory, ProtocolKind::DiCoArin];
     let sink = ProgressSink::new("matrix", 2, Some(path.to_str().unwrap()), false).unwrap();
-    run_matrix_with_progress(&protocols, &[Benchmark::Radix], &cfg(), Some(&sink)).expect("run");
+    run_matrix_with_options(&protocols, &[Benchmark::Radix], &cfg(), Some(&sink), None, None)
+        .expect("run");
 
     let text = std::fs::read_to_string(&path).unwrap();
     let events: Vec<Value> =
