@@ -17,14 +17,15 @@
 //! cmpsim-cli compare --baseline cur.json base.json [--threshold F] [--rebaseline]
 //!                                               # structural run diff / CI
 //!                                               # regression gate (nonzero exit)
-//! cmpsim-cli figures [run options] [--out F.csv] # Figures 7, 8a, 8b, 9a, 9b +
+//! cmpsim-cli figures [run options but -p/-b] [--out F.csv]
+//!                                               # Figures 7, 8a, 8b, 9a, 9b +
 //!                                               # §V-D hop/latency summaries
 //!                                               # over the 32-cell matrix
 //!                                               # (--out: their raw CSV)
 //! cmpsim-cli tables                             # Tables V, VI, VII + §V-D hop
 //!                                               # analysis (analytic)
-//! cmpsim-cli study <alt|areas|density|ablation|single-app> [-n N] [--seed S]
-//!                  [--threads N]                # the studies beyond the figures
+//! cmpsim-cli study <alt|areas|density|ablation|single-app> [-n N]
+//!                                               # the studies beyond the figures
 //! cmpsim-cli replay <artifact.json> [--check] [--snapshot-dir D]
 //!                                               # re-run a crash dump (resumes
 //!                                               # from the warmed checkpoint
@@ -593,7 +594,7 @@ fn cmd_figures(o: &Options) {
 }
 
 /// `study <name>`: one of the studies beyond the paper's figures, run
-/// on the paper chip at `-n` refs/core and `--seed`.
+/// on the paper chip at `-n` refs/core.
 fn cmd_study(args: &[String]) {
     let bad = |e: String| -> ! {
         eprintln!("error: {e}");
@@ -603,15 +604,14 @@ fn cmd_study(args: &[String]) {
         bad("study needs a name (alt | areas | density | ablation | single-app)".into())
     };
     let study: Study = name.parse().unwrap_or_else(|e| bad(e));
-    // No option value of a study starts with '-', so every such word is a flag.
-    if let Some(f) = rest.iter().find(|a| {
-        a.starts_with('-') && !["-n", "--refs", "-s", "--seed", "--threads"].contains(&a.as_str())
-    }) {
-        bad(format!("study takes -n, --seed and --threads, not {f}"));
-    }
-    let o = parse_options(rest).unwrap_or_else(|e| bad(e));
-    let base = SystemConfig::paper().with_refs(o.refs).with_seed(o.seed);
-    print!("{}", study.run(&base, o.threads).unwrap_or_else(|e| bail(e)));
+    let refs = match rest {
+        [] => 20_000,
+        [flag, v] if flag == "-n" || flag == "--refs" => {
+            v.parse().unwrap_or_else(|_| bad(format!("bad refs {v}")))
+        }
+        _ => bad(format!("study takes only -n/--refs N, not {}", rest.join(" "))),
+    };
+    print!("{}", study.run(&SystemConfig::paper().with_refs(refs)).unwrap_or_else(|e| bail(e)));
 }
 
 /// `breakdown`: runs all four protocols with attribution on and prints
@@ -1351,10 +1351,19 @@ fn main() {
             }
         }
         "run" | "matrix" | "figures" | "stats" | "breakdown" | "report" | "vmstat" => {
-            let o = parse_options(rest).unwrap_or_else(|e| {
+            let bad = |e: String| -> ! {
                 eprintln!("error: {e}");
                 std::process::exit(2);
-            });
+            };
+            let o = parse_options(rest).unwrap_or_else(|e| bad(e));
+            // `figures` always runs every protocol on every benchmark.
+            if let Some(f) = rest.iter().find(|a| {
+                cmd == "figures"
+                    && ["-p", "--protocol", "-b", "--benchmark", "--all-benchmarks"]
+                        .contains(&a.as_str())
+            }) {
+                bad(format!("figures runs every protocol and benchmark; {f} is not taken"));
+            }
             match cmd {
                 "run" => cmd_run(&o),
                 "figures" => cmd_figures(&o),

@@ -468,7 +468,7 @@ fn figure_table(results: &[RunResult], cell: impl Fn(&RunResult, &RunResult) -> 
 
 /// Figure 7 — total dynamic power (cache + network), normalized to the
 /// directory's **cache** consumption per the paper's caption.
-pub fn figure7(results: &[RunResult]) -> String {
+fn figure7(results: &[RunResult]) -> String {
     let mut out = String::from(
         "== Figure 7: total dynamic power, normalized to the directory's cache power ==\n\
          (each cell: total | cache + link + routing shares)\n\n",
@@ -490,7 +490,7 @@ pub fn figure7(results: &[RunResult]) -> String {
 
 /// Figure 8a — cache dynamic power breakdown, normalized to the
 /// directory.
-pub fn figure8a(results: &[RunResult]) -> String {
+fn figure8a(results: &[RunResult]) -> String {
     let mut out = String::from(
         "== Figure 8a: cache dynamic power, normalized to directory ==\n\
          (each cell: total | l1tag/l1data/l2tag/l2data/aux shares)\n\n",
@@ -515,7 +515,7 @@ pub fn figure8a(results: &[RunResult]) -> String {
 
 /// Figure 8b — network dynamic power breakdown, normalized to the
 /// directory.
-pub fn figure8b(results: &[RunResult]) -> String {
+fn figure8b(results: &[RunResult]) -> String {
     let mut out = String::from(
         "== Figure 8b: network dynamic power, normalized to directory ==\n\
          (each cell: total | links + routing shares)\n\n",
@@ -531,7 +531,7 @@ pub fn figure8b(results: &[RunResult]) -> String {
 }
 
 /// Figure 9a — performance normalized to the directory.
-pub fn figure9a(results: &[RunResult]) -> String {
+fn figure9a(results: &[RunResult]) -> String {
     let mut out = String::from(
         "== Figure 9a: performance, normalized to directory (bigger is better) ==\n\n",
     );
@@ -542,7 +542,7 @@ pub fn figure9a(results: &[RunResult]) -> String {
 }
 
 /// Figure 9b — L1 misses by resolution class, one table per benchmark.
-pub fn figure9b(results: &[RunResult]) -> String {
+fn figure9b(results: &[RunResult]) -> String {
     let mut out = String::from("== Figure 9b: L1 misses by resolution class (fractions) ==\n\n");
     let mut header = vec!["protocol"];
     header.extend(MissClass::all().iter().map(|c| c.label()));
@@ -567,14 +567,14 @@ pub fn figure9b(results: &[RunResult]) -> String {
 }
 
 /// §V-D hop statistics: average links traversed per message.
-pub fn hop_summary(results: &[RunResult]) -> String {
+fn hop_summary(results: &[RunResult]) -> String {
     let mut out = String::from("== Links traversed per message (paper §V-D) ==\n\n");
     out += &figure_table(results, |r, _| format!("{:.2}", r.avg_links_per_message()));
     out
 }
 
 /// §V-D miss-latency statistics (avg | p95 cycles).
-pub fn latency_summary(results: &[RunResult]) -> String {
+fn latency_summary(results: &[RunResult]) -> String {
     let mut out = String::from("== Average (p95) L1-miss latency in cycles (paper §V-D) ==\n\n");
     out += &figure_table(results, |r, _| {
         format!("{:.0} ({})", r.avg_miss_latency(), r.miss_latency_percentile(95.0))
@@ -632,7 +632,7 @@ pub fn sweep_csv(results: &[RunResult]) -> String {
 
 /// Table V — per-tile coherence storage of each protocol on the 8x8
 /// chip with 4 areas, against the paper's overhead percentages.
-pub fn table5() -> String {
+fn table5() -> String {
     let mut out = String::from("== Table V: per-tile coherence storage (64 cores, 4 areas) ==\n\n");
     let paper = [
         (ProtocolKind::Directory, 12.56),
@@ -661,7 +661,7 @@ pub fn table5() -> String {
 }
 
 /// Table VI — leakage power of the caches per tile, against the paper.
-pub fn table6() -> String {
+fn table6() -> String {
     let mut out = String::from(
         "== Table VI: leakage power per tile (64 cores, 4 areas, 32 nm-calibrated) ==\n\n",
     );
@@ -694,7 +694,7 @@ pub fn table6() -> String {
 
 /// Table VII — storage overhead of the protocols against the number of
 /// cores and areas of the chip.
-pub fn table7() -> String {
+fn table7() -> String {
     let mut out = String::from("== Table VII: storage overhead vs cores x areas ==\n\n");
     for cores in [64u64, 128, 256, 512, 1024] {
         let areas: Vec<u64> =
@@ -744,7 +744,7 @@ fn avg_round_trip(cfg: NocConfig, within_area: Option<usize>) -> f64 {
 /// two-hop misses (10.6 links chip-wide vs 5.4 inside a 16-tile area
 /// on the 8x8 mesh, and the 256-tile / 4-tile-area projection),
 /// computed on the mesh model.
-pub fn hop_analysis() -> String {
+fn hop_analysis() -> String {
     let mut out = String::from("== Paper §V-D: links traversed by a two-hop miss ==\n\n");
     let m8 = NocConfig { cols: 8, rows: 8, ..NocConfig::default() };
     let m16 = NocConfig { cols: 16, rows: 16, ..NocConfig::default() };

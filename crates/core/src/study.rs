@@ -15,7 +15,7 @@ use crate::config::SystemConfig;
 use crate::error::SimError;
 use crate::report::{pct_delta, table};
 use crate::result::RunResult;
-use crate::sim::{run_benchmark, run_matrix_with_options};
+use crate::sim::{run_benchmark, run_matrix};
 use cmpsim_power::overhead_percent;
 use cmpsim_protocols::common::ChipSpec;
 use cmpsim_protocols::{MissClass, ProtocolKind};
@@ -56,11 +56,10 @@ impl Study {
     }
 
     /// Runs the study from `base` (chip, reference budget, seed) and
-    /// renders its report. `threads` sizes the worker pool of the
-    /// studies that run a protocol matrix (`None` = one per host core).
-    pub fn run(self, base: &SystemConfig, threads: Option<usize>) -> Result<String, SimError> {
+    /// renders its report.
+    pub fn run(self, base: &SystemConfig) -> Result<String, SimError> {
         let matrix = |benchmarks: &[Benchmark], cfg: &SystemConfig| {
-            run_matrix_with_options(&ProtocolKind::all(), benchmarks, cfg, None, threads, None)
+            run_matrix(&ProtocolKind::all(), benchmarks, cfg)
         };
         match self {
             Study::Alt => {

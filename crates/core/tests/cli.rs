@@ -24,16 +24,19 @@ fn tables_output_matches_the_committed_captures() {
     assert_eq!(String::from_utf8_lossy(&out.stdout), expected);
 }
 
-/// A bad reference budget, study name or benchmark name is an error,
-/// never a silent fallback to a default.
+/// A bad reference budget, study name or benchmark name, or a flag the
+/// command would ignore, is an error, never a silent fallback.
 #[test]
 fn bad_arguments_exit_2_naming_the_value() {
     for (args, bad) in [
         (&["study", "ablation", "-n", "15k"][..], "15k"),
         (&["study", "nosuch"][..], "nosuch"),
         (&["figures", "-b", "nosuch"][..], "nosuch"),
+        (&["figures", "-b", "radix"][..], "-b"),
+        (&["figures", "--all-benchmarks"][..], "--all-benchmarks"),
         (&["study"][..], "study needs a name"),
         (&["study", "areas", "--trace-out", "t.json"][..], "--trace-out"),
+        (&["study", "areas", "--seed", "7"][..], "--seed"),
     ] {
         let out = cli(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
